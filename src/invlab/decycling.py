@@ -19,7 +19,6 @@ from .digraph import (
     _make,
     invert,
     is_acyclic,
-    pair_index,
     topological_order,
 )
 from .gf2 import MatGF2, SymMatGF2, factor_symmetric, gram, rank
@@ -54,7 +53,15 @@ class Certificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Certificate":
+        """Parse certificate JSON; ValueError names a missing field or unknown kind."""
+        if not isinstance(data, dict):
+            raise ValueError("certificate JSON must be an object")
         kind = data.get("kind")
+        if kind not in ("family", "matrix"):
+            raise ValueError(f"unknown certificate kind {kind!r}")
+        for name in (kind, "value", "order"):
+            if name not in data:
+                raise ValueError(f"{kind} certificate is missing the field {name!r}")
         if kind == "family":
             n = data.get("n")
             if n is None:
@@ -62,10 +69,8 @@ class Certificate:
             payload: Union[VertexFamily, SymMatGF2] = VertexFamily.from_sets(
                 n, data["family"]
             )
-        elif kind == "matrix":
-            payload = SymMatGF2.from_rows(data["matrix"])
         else:
-            raise ValueError(f"unknown certificate kind {kind!r}")
+            payload = SymMatGF2.from_rows(data["matrix"])
         return cls(kind, payload, int(data["value"]), tuple(data["order"]))
 
 
@@ -82,18 +87,7 @@ def apply_matrix(T: Tournament, M: SymMatGF2) -> Tournament:
         raise TypeError("decycling matrices are defined for tournaments only")
     if M.n != T.n:
         raise ValueError(f"matrix of size {M.n}, tournament on {T.n}")
-    n = T.n
-    flips = 0
-    for i in range(n):
-        row = M.rows[i] >> (i + 1)
-        j = i + 1
-        while row:
-            step = (row & -row).bit_length() - 1
-            j += step
-            flips |= 1 << pair_index(i, j, n)
-            row >>= step + 1
-            j += 1
-    return _make(n, T.present, T.orient ^ flips)
+    return _make(T.n, [o ^ (r & ~(1 << i)) for i, (o, r) in enumerate(zip(T.out, M.rows))])
 
 
 def is_decycling_matrix(T: Tournament, M: SymMatGF2) -> bool:

@@ -1,10 +1,17 @@
-"""Oriented graphs and tournaments with bit-packed pair state.
+"""Oriented graphs and tournaments stored as per-vertex rows.
 
-Vertices are 0..n-1.  Every unordered pair {i, j} with i < j lives at a
-fixed lexicographic index, and a graph is two bitmasks over those indices:
-`present` (does the pair carry an arc) and `orient` (1 means i -> j,
-0 means j -> i; forced to 0 on absent pairs).  A tournament is the special
-case where every pair is present.
+Vertices are 0..n-1.  A graph is two tuples of n bitmasks: `out[v]` holds
+v's out-neighbours and `adj[v]` the vertices that share an arc with v, so
+`out[v]` is a subset of `adj[v]`, `adj` is symmetric, and each adjacent
+pair appears in exactly one direction of `out`.  A tournament is the
+special case where every pair is adjacent.  Every structural operation
+(inverting a family, reversing, dijoins, induced subgraphs) is a row
+operation.
+
+Pair-index bits, one bit per unordered pair {i, j} with i < j in
+lexicographic order, exist only in the text codec: `decode`, `encode`,
+`Tournament(n, bits)` and `pair_bits`, whose bit string the canonical form
+minimises.
 
 Values are immutable after construction and safe to share across workers.
 """
@@ -12,6 +19,7 @@ Values are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 MAX_VERTICES = 64  # a vertex subset always fits one machine word
@@ -32,102 +40,95 @@ def pair_index(i: int, j: int, n: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
-def _pairs(n: int):
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield i, j
+@lru_cache(maxsize=None)
+def _complete_rows(n: int) -> tuple[int, ...]:
+    full = (1 << n) - 1
+    return tuple(full ^ (1 << v) for v in range(n))
 
 
 class OrientedGraph:
     """Loop-free digraph with at most one arc per vertex pair."""
 
-    __slots__ = ("n", "present", "orient")
+    __slots__ = ("n", "out", "adj")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
         _check_vertex_count(n)
-        present = 0
-        orient = 0
+        out = [0] * n
+        adj = [0] * n
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(f"arc {u}>{v}: vertex out of range for n={n}")
             if u == v:
                 raise ParseError(f"arc {u}>{v}: self-loop")
-            p = pair_index(u, v, n)
-            bit = 1 << p
-            want = bit if u < v else 0
-            if present & bit:
-                have = orient & bit
-                if have == want:
+            if (adj[u] >> v) & 1:
+                if (out[u] >> v) & 1:
                     raise ParseError(f"arc {u}>{v}: duplicate arc")
                 raise ParseError(f"arc {u}>{v}: conflicts with opposite arc")
-            present |= bit
-            orient |= want
+            out[u] |= 1 << v
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         self.n = n
-        self.present = present
-        self.orient = orient
+        self.out = tuple(out)
+        self.adj = tuple(adj)
 
     @property
     def is_tournament(self) -> bool:
-        return self.present == (1 << pair_count(self.n)) - 1
+        return self.adj == _complete_rows(self.n)
 
     def arc(self, u: int, v: int) -> bool:
         """True iff the arc u -> v is present."""
-        if u == v:
-            return False
-        p = pair_index(u, v, self.n)
-        if not (self.present >> p) & 1:
-            return False
-        return bool((self.orient >> p) & 1) == (u < v)
+        return bool((self.out[u] >> v) & 1)
 
     def arcs(self) -> list[tuple[int, int]]:
-        """All arcs as (tail, head), in pair-index order."""
+        """All arcs as (tail, head), in lexicographic pair order."""
         out = []
-        for i, j in _pairs(self.n):
-            p = pair_index(i, j, self.n)
-            if (self.present >> p) & 1:
-                out.append((i, j) if (self.orient >> p) & 1 else (j, i))
+        for i in range(self.n):
+            for j in range(i + 1, self.n):
+                if (self.out[i] >> j) & 1:
+                    out.append((i, j))
+                elif (self.out[j] >> i) & 1:
+                    out.append((j, i))
         return out
 
     def out_masks(self) -> list[int]:
         """Per-vertex bitmask of out-neighbours."""
-        masks = [0] * self.n
-        for i, j in _pairs(self.n):
-            p = pair_index(i, j, self.n)
-            if (self.present >> p) & 1:
-                if (self.orient >> p) & 1:
-                    masks[i] |= 1 << j
-                else:
-                    masks[j] |= 1 << i
-        return masks
+        return list(self.out)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, OrientedGraph)
-            and self.n == other.n
-            and self.present == other.present
-            and self.orient == other.orient
-        )
+        return isinstance(other, OrientedGraph) and self.n == other.n and self.out == other.out
 
     def __hash__(self):
-        return hash((self.n, self.present, self.orient))
+        return hash((self.n, self.out))
 
     def __repr__(self):
         return f"{type(self).__name__}({encode(self)!r})"
 
 
 class Tournament(OrientedGraph):
-    """Oriented graph with exactly one arc per pair; one orientation bit per pair."""
+    """Oriented graph with exactly one arc per pair.
+
+    `bits` holds one orientation bit per pair in lexicographic pair order,
+    1 meaning i -> j for the pair (i, j) with i < j.
+    """
 
     __slots__ = ()
 
     def __init__(self, n: int, bits: int = 0):
         _check_vertex_count(n)
-        m = pair_count(n)
-        if not 0 <= bits < (1 << m):
+        if not 0 <= bits < (1 << pair_count(n)):
             raise ValueError(f"orientation bits out of range for n={n}")
+        out = [0] * n
+        k = 0
+        for i in range(n):
+            for j in range(i + 1, n):
+                if (bits >> k) & 1:
+                    out[i] |= 1 << j
+                else:
+                    out[j] |= 1 << i
+                k += 1
         self.n = n
-        self.present = (1 << m) - 1
-        self.orient = bits
+        self.out = tuple(out)
+        self.adj = _complete_rows(n)
 
 
 def _check_vertex_count(n: int) -> None:
@@ -135,15 +136,23 @@ def _check_vertex_count(n: int) -> None:
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
 
 
-def _make(n: int, present: int, orient: int) -> OrientedGraph:
-    """Internal constructor from validated masks; picks Tournament when complete."""
-    full = (1 << pair_count(n)) - 1
-    cls = Tournament if present == full else OrientedGraph
-    g = object.__new__(cls)
+def _make(n: int, out: Iterable[int], adj: Sequence[int] | None = None) -> OrientedGraph:
+    """Internal constructor from consistent rows; adj None means a tournament."""
+    complete = _complete_rows(n)
+    if adj is None or tuple(adj) == complete:
+        g = object.__new__(Tournament)
+        g.adj = complete
+    else:
+        g = object.__new__(OrientedGraph)
+        g.adj = tuple(adj)
     g.n = n
-    g.present = present
-    g.orient = orient & present
+    g.out = tuple(out)
     return g
+
+
+def _relabel_row(row: int, vertices: Sequence[int]) -> int:
+    """The bits of `row` at positions vertices[0], vertices[1], ... packed low first."""
+    return sum(((row >> v) & 1) << k for k, v in enumerate(vertices))
 
 
 @dataclass(frozen=True)
@@ -202,13 +211,10 @@ def decode(text: str) -> OrientedGraph:
             raise ParseError(
                 f"token {bits!r}: expected {m} orientation bits for n={n}, got {len(bits)}"
             )
-        mask = 0
-        for k, ch in enumerate(bits):
-            if ch == "1":
-                mask |= 1 << k
-            elif ch != "0":
-                raise ParseError(f"token {ch!r}: orientation bits must be 0 or 1")
-        return _make(n, (1 << m) - 1, mask)
+        bad = bits.strip("01")
+        if bad:
+            raise ParseError(f"token {bad[0]!r}: orientation bits must be 0 or 1")
+        return Tournament(n, int(bits[::-1], 2) if bits else 0)
     if ";" in text:
         head, _, body = text.partition(";")
         n = _parse_count(head)
@@ -224,15 +230,27 @@ def decode(text: str) -> OrientedGraph:
                     raise ParseError(f"token {token!r}: endpoints must be integers") from None
                 arcs.append((u, v))
         g = OrientedGraph(n, arcs)
-        return _make(n, g.present, g.orient)
+        return _make(n, g.out, g.adj)
     raise ParseError(f"token {text!r}: expected 'n:bits' or 'n;arcs'")
+
+
+def pair_bits(T: Tournament) -> int:
+    """Orientation bits of a tournament in lexicographic pair order (see Tournament)."""
+    bits = 0
+    k = 0
+    for i in range(T.n):
+        row = T.out[i]
+        for j in range(i + 1, T.n):
+            bits |= ((row >> j) & 1) << k
+            k += 1
+    return bits
 
 
 def encode(D: OrientedGraph) -> str:
     """Inverse of decode; tournaments use the bit form."""
     n = D.n
     if D.is_tournament:
-        bits = "".join("1" if (D.orient >> k) & 1 else "0" for k in range(pair_count(n)))
+        bits = format(pair_bits(D), f"0{pair_count(n)}b")[::-1] if n > 1 else ""
         return f"{n}:{bits}"
     return f"{n};" + ",".join(f"{u}>{v}" for u, v in D.arcs())
 
@@ -262,10 +280,8 @@ def is_acyclic(D: OrientedGraph) -> bool:
     Tournaments use the out-degree test (acyclic iff the out-degree multiset
     is {0, 1, ..., n-1}); other graphs run source elimination.
     """
-    n = D.n
     if D.is_tournament:
-        degs = sorted(m.bit_count() for m in D.out_masks())
-        return degs == list(range(n))
+        return sorted(r.bit_count() for r in D.out) == list(range(D.n))
     return _topological_order_or_none(D) is not None
 
 
@@ -278,28 +294,18 @@ def topological_order(D: OrientedGraph) -> tuple[int, ...]:
 
 
 def _topological_order_or_none(D: OrientedGraph):
-    n = D.n
-    out = D.out_masks()
-    indeg = [0] * n
-    for v in range(n):
-        m = out[v]
-        while m:
-            w = (m & -m).bit_length() - 1
-            indeg[w] += 1
-            m &= m - 1
-    remaining = set(range(n))
+    # in-neighbours are the adjacent vertices that are not out-neighbours
+    into = [a & ~o for a, o in zip(D.adj, D.out)]
+    remaining = (1 << D.n) - 1
     order = []
-    for _ in range(n):
-        src = next((v for v in sorted(remaining) if indeg[v] == 0), None)
+    while remaining:
+        src = next(
+            (v for v in range(D.n) if (remaining >> v) & 1 and not into[v] & remaining), None
+        )
         if src is None:
             return None
         order.append(src)
-        remaining.remove(src)
-        m = out[src]
-        while m:
-            w = (m & -m).bit_length() - 1
-            indeg[w] -= 1
-            m &= m - 1
+        remaining &= ~(1 << src)
     return tuple(order)
 
 
@@ -313,17 +319,18 @@ def invert(D: OrientedGraph, family: VertexFamily) -> OrientedGraph:
     if family.n != D.n:
         raise ValueError(f"family on {family.n} vertices applied to graph on {D.n}")
     chi = family.char_vectors()
-    flips = 0
-    n = D.n
-    for i, j in _pairs(n):
-        if (chi[i] & chi[j]).bit_count() & 1:
-            flips |= 1 << pair_index(i, j, n)
-    return _make(n, D.present, D.orient ^ (flips & D.present))
+    out = []
+    for i, ci in enumerate(chi):
+        flips = 0
+        for j, cj in enumerate(chi):
+            flips |= ((ci & cj).bit_count() & 1) << j
+        out.append(D.out[i] ^ (flips & D.adj[i]))
+    return _make(D.n, out, D.adj)
 
 
 def reverse(D: OrientedGraph) -> OrientedGraph:
     """Reverse every arc; an involution."""
-    return _make(D.n, D.present, D.orient ^ D.present)
+    return _make(D.n, [a ^ o for a, o in zip(D.adj, D.out)], D.adj)
 
 
 def dijoin(D1: OrientedGraph, D2: OrientedGraph) -> OrientedGraph:
@@ -331,27 +338,14 @@ def dijoin(D1: OrientedGraph, D2: OrientedGraph) -> OrientedGraph:
 
     D1 keeps vertices 0..n1-1; D2's vertices are shifted up by n1.
     """
-    n1, n2 = D1.n, D2.n
-    n = n1 + n2
+    n1 = D1.n
+    n = n1 + D2.n
     _check_vertex_count(n)
-    present = 0
-    orient = 0
-    for i, j in _pairs(n1):
-        p = pair_index(i, j, n1)
-        q = pair_index(i, j, n)
-        present |= ((D1.present >> p) & 1) << q
-        orient |= ((D1.orient >> p) & 1) << q
-    for i, j in _pairs(n2):
-        p = pair_index(i, j, n2)
-        q = pair_index(i + n1, j + n1, n)
-        present |= ((D2.present >> p) & 1) << q
-        orient |= ((D2.orient >> p) & 1) << q
-    for i in range(n1):
-        for j in range(n1, n):
-            q = pair_index(i, j, n)
-            present |= 1 << q
-            orient |= 1 << q  # i < j, so bit 1 means i -> j
-    return _make(n, present, orient)
+    low = (1 << n1) - 1
+    high = ((1 << n) - 1) ^ low
+    out = [r | high for r in D1.out] + [r << n1 for r in D2.out]
+    adj = [r | high for r in D1.adj] + [(r << n1) | low for r in D2.adj]
+    return _make(n, out, adj)
 
 
 def njoin(graphs: Sequence[OrientedGraph]) -> OrientedGraph:
@@ -369,26 +363,19 @@ def induced(D: OrientedGraph, vertices: Iterable[int]) -> OrientedGraph:
     sub = sorted(set(vertices))
     if sub and not (0 <= sub[0] and sub[-1] < D.n):
         raise ValueError(f"vertex subset {sub} not within 0..{D.n - 1}")
-    k = len(sub)
-    present = 0
-    orient = 0
-    for a in range(k):
-        for b in range(a + 1, k):
-            p = pair_index(sub[a], sub[b], D.n)
-            q = pair_index(a, b, k)
-            present |= ((D.present >> p) & 1) << q
-            orient |= ((D.orient >> p) & 1) << q
-    return _make(k, present, orient)
+    out = [_relabel_row(D.out[v], sub) for v in sub]
+    adj = [_relabel_row(D.adj[v], sub) for v in sub]
+    return _make(len(sub), out, adj)
 
 
 def transitive_tournament(order: Sequence[int]) -> Tournament:
     """Tournament whose arcs all point from earlier to later in `order`."""
     n = len(order)
-    pos = {v: k for k, v in enumerate(order)}
-    if len(pos) != n or sorted(pos) != list(range(n)):
+    if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of 0..n-1")
-    bits = 0
-    for i, j in _pairs(n):
-        if pos[i] < pos[j]:
-            bits |= 1 << pair_index(i, j, n)
-    return _make(n, (1 << pair_count(n)) - 1, bits)
+    out = [0] * n
+    later = 0
+    for v in reversed(order):
+        out[v] = later
+        later |= 1 << v
+    return _make(n, out)

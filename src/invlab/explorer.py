@@ -19,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -27,17 +27,17 @@ from .constructions import extend_to_tournament
 from .decycling import is_decycling_matrix
 from .digraph import (
     Tournament,
-    _make,
     decode,
     dijoin,
     encode,
     induced,
     njoin,
+    pair_bits,
     pair_count,
     pair_index,
     transitive_tournament,
 )
-from .gf2 import MatGF2, SymMatGF2, full_rank_principal, schur_update
+from .gf2 import MatGF2, SymMatGF2, _trusted_sym, full_rank_principal, schur_update
 from .search import Inconclusive, SearchBudget, solve_inv, solve_tmr
 
 REPORT_SCHEMA = "invlab.scan-report/1"
@@ -91,8 +91,8 @@ def canonical_form(T: Tournament) -> str:
         raise TypeError("canonical_form is defined for tournaments")
     if T.n > MAX_CANONICAL_N:
         raise ValueError(f"canonical_form supports n <= {MAX_CANONICAL_N}")
-    value = _canonical_int(T.n, T.orient)
-    return encode(_make(T.n, (1 << pair_count(T.n)) - 1, _orient_from_canonical(T.n, value)))
+    value = _canonical_int(T.n, pair_bits(T))
+    return encode(Tournament(T.n, _orient_from_canonical(T.n, value)))
 
 
 @lru_cache(maxsize=None)
@@ -117,17 +117,16 @@ def _iso_class_ints(n: int) -> tuple[int, ...]:
 
 def enumerate_tournaments(n: int, up_to_iso: bool = True) -> Iterator[Tournament]:
     """All tournaments on n vertices, one per isomorphism class by default."""
-    full = (1 << pair_count(n)) - 1
     if up_to_iso:
         if n > MAX_ISO_N:
             raise ValueError(f"isomorphism-reduced enumeration supports n <= {MAX_ISO_N}")
         for canon in _iso_class_ints(n):
-            yield _make(n, full, _orient_from_canonical(n, canon))
+            yield Tournament(n, _orient_from_canonical(n, canon))
         return
     if n > MAX_CANONICAL_N:
         raise ValueError(f"labeled enumeration supports n <= {MAX_CANONICAL_N}")
     for orient in range(1 << pair_count(n)):
-        yield _make(n, full, orient)
+        yield Tournament(n, orient)
 
 
 def _class_encodings(n: int) -> list[str]:
@@ -602,11 +601,10 @@ class SchurProbeRecord:
 
 
 def _blocks(M: SymMatGF2, n1: int) -> tuple[SymMatGF2, MatGF2, SymMatGF2]:
-    n2 = M.n - n1
-    A = M.principal(range(n1))
-    B = M.principal(range(n1, M.n))
-    mask = (1 << n2) - 1
-    C = MatGF2(n1, n2, [(M.rows[i] >> n1) & mask for i in range(n1)])
+    low = (1 << n1) - 1
+    A = _trusted_sym(n1, [r & low for r in M.rows[:n1]])
+    C = MatGF2(n1, M.n - n1, [r >> n1 for r in M.rows[:n1]])
+    B = _trusted_sym(M.n - n1, [r >> n1 for r in M.rows[n1:]])
     return A, C, B
 
 
@@ -631,6 +629,23 @@ def _sym3_class_key(A: SymMatGF2) -> int:
     return best
 
 
+@lru_cache(maxsize=1024)
+def _a_block_facts(D1: Tournament, A: SymMatGF2):
+    """The part of a probe that depends on D1 and the A-block alone.
+
+    Returns the indices S of a maximal full-rank principal A' of A, A',
+    whether A' decycles D1 induced on S, and for 3x3 A' whether it decycles
+    the directed triangle and its class key (else None twice).  A 3-vertex
+    D1 has only 64 A-blocks, so scans hit this cache almost always.
+    """
+    S = full_rank_principal(A, "max")
+    A_prime = A.principal(S)
+    induced_ok = is_decycling_matrix(induced(D1, S), A_prime)
+    if len(S) != 3:
+        return S, A_prime, induced_ok, None, None
+    return S, A_prime, induced_ok, is_decycling_matrix(_C3, A_prime), _sym3_class_key(A_prime)
+
+
 def schur_probe(D1: Tournament, D2: Tournament, M: SymMatGF2) -> SchurProbeRecord:
     """Eliminate a full-rank principal block of the D1 side and test the rest.
 
@@ -643,48 +658,38 @@ def schur_probe(D1: Tournament, D2: Tournament, M: SymMatGF2) -> SchurProbeRecor
     J = dijoin(D1, D2)
     if M.n != J.n:
         raise ValueError(f"matrix of size {M.n} against a dijoin on {J.n} vertices")
+    return _schur_probe(D1, D2, J, M)
+
+
+def _schur_probe(
+    D1: Tournament, D2: Tournament, J: Tournament, M: SymMatGF2
+) -> SchurProbeRecord:
+    """schur_probe with J = dijoin(D1, D2) built by the caller and M of J's size."""
     if not is_decycling_matrix(J, M):
         raise ValueError("M is not a decycling matrix for the dijoin")
     A, C, B = _blocks(M, D1.n)
-    S = full_rank_principal(A, "max")
-    A_prime = A.principal(S)
+    S, A_prime, induced_ok, c3, key = _a_block_facts(D1, A)
     C_prime = MatGF2(len(S), C.ncols, [C.rows[i] for i in S])
     B_prime = schur_update(A_prime, C_prime, B)
-    sub = induced(D1, S)
-    is_3x3 = len(S) == 3
     return SchurProbeRecord(
-        indices=tuple(S),
+        indices=S,
         a_rank=len(S),
-        cross_zero=all(r == 0 for r in C.rows),
+        cross_zero=not any(C.rows),
         b_prime_decycles=is_decycling_matrix(D2, B_prime),
-        a_prime_decycles_induced=is_decycling_matrix(sub, A_prime),
-        a_prime_decycles_c3=is_decycling_matrix(_C3, A_prime) if is_3x3 else None,
-        a_prime_class=_sym3_class_key(A_prime) if is_3x3 else None,
+        a_prime_decycles_induced=induced_ok,
+        a_prime_decycles_c3=c3,
+        a_prime_class=key,
     )
 
 
-def _decycling_offdiag_masks(T: Tournament) -> list[int]:
-    """Pair-flip masks of all decycling matrices of T, one per target order.
+def _decycling_flips(T: Tournament, order: Sequence[int]) -> tuple[int, ...]:
+    """Rows of the zero-diagonal matrix that flips T onto the transitive tournament of `order`.
 
     A symmetric matrix decycles T iff its off-diagonal flips turn T into the
-    transitive tournament of some vertex order, so the masks are exactly the
-    differences against the n! transitive targets (diagonals are free).
+    transitive tournament of some vertex order, so these rows, one per
+    order, give every decycling matrix of T up to its (free) diagonal.
     """
-    masks = []
-    for sigma in itertools.permutations(range(T.n)):
-        target = transitive_tournament(sigma)
-        masks.append(T.orient ^ target.orient)
-    return masks
-
-
-def _rows_from_pair_mask(n: int, mask: int, diag: int) -> list[int]:
-    rows = [((diag >> i) & 1) << i for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (mask >> pair_index(i, j, n)) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return rows
+    return tuple(a ^ b for a, b in zip(T.out, transitive_tournament(order).out))
 
 
 def _schur_pair_task(args) -> list[tuple]:
@@ -692,35 +697,34 @@ def _schur_pair_task(args) -> list[tuple]:
     D1, D2 = decode(enc1), decode(enc2)
     J = dijoin(D1, D2)
     n1 = D1.n
-    masks = _decycling_offdiag_masks(J)
-    # the D2-side diagonal never reaches the probe, so it stays zero; the
-    # D1-side diagonal feeds rank(A) and A'^{-1} and is enumerated fully
-    space = [(mi, diag) for mi in range(len(masks)) for diag in range(1 << n1)]
-    if samples is not None:
+    orders = list(itertools.permutations(range(J.n)))
+    # instance k is target order k >> n1 with D1-side diagonal k & (2^n1 - 1);
+    # the D2-side diagonal never reaches the probe, so it stays zero, while
+    # the D1-side diagonal feeds rank(A) and A'^{-1} and is enumerated fully
+    size = len(orders) << n1
+    if samples is None:
+        picks: Sequence[int] = range(size)
+    else:
         rng = random.Random(f"{seed}|{enc1}|{enc2}")
-        space = [space[rng.randrange(len(space))] for _ in range(samples)]
-    matrices = [
-        SymMatGF2(J.n, _rows_from_pair_mask(J.n, masks[mi], diag)) for mi, diag in space
-    ]
-    # optimal certificates are probed alongside the enumerated matrices
-    matrices.append(solve_tmr(J).certificate.payload)
-    matrices.append(
-        SymMatGF2.block_diag(
-            solve_tmr(D1).certificate.payload, solve_tmr(D2).certificate.payload
-        )
-    )
+        picks = [rng.randrange(size) for _ in range(samples)]
+    flips: dict[int, tuple[int, ...]] = {}
     records = []
-    for M in matrices:
-        rec = schur_probe(D1, D2, M)
-        records.append(
-            (
-                rec.a_rank,
-                rec.b_prime_decycles,
-                rec.a_prime_decycles_c3,
-                rec.a_prime_class,
-            )
-        )
-    return records
+    for k in picks:
+        oi = k >> n1
+        if oi not in flips:
+            flips[oi] = _decycling_flips(J, orders[oi])
+        rows = [r | (k & (1 << i)) for i, r in enumerate(flips[oi])]
+        records.append(_schur_probe(D1, D2, J, _trusted_sym(J.n, rows)))
+    # optimal certificates are probed alongside the enumerated matrices
+    records.append(_schur_probe(D1, D2, J, solve_tmr(J).certificate.payload))
+    optimal_blocks = SymMatGF2.block_diag(
+        solve_tmr(D1).certificate.payload, solve_tmr(D2).certificate.payload
+    )
+    records.append(_schur_probe(D1, D2, J, optimal_blocks))
+    return [
+        (rec.a_rank, rec.b_prime_decycles, rec.a_prime_decycles_c3, rec.a_prime_class)
+        for rec in records
+    ]
 
 
 def scan_schur_3x3(

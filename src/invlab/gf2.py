@@ -121,9 +121,7 @@ class SymMatGF2:
 
     @classmethod
     def block_diag(cls, A: "SymMatGF2", B: "SymMatGF2") -> "SymMatGF2":
-        n = A.n + B.n
-        rows = list(A.rows) + [r << A.n for r in B.rows]
-        return cls(n, rows)
+        return _trusted_sym(A.n + B.n, A.rows + tuple(r << A.n for r in B.rows))
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
@@ -137,7 +135,7 @@ class SymMatGF2:
         rows = [
             sum(((self.rows[i] >> j) & 1) << c for c, j in enumerate(idx)) for i in idx
         ]
-        return SymMatGF2(len(idx), rows)
+        return _trusted_sym(len(idx), rows)
 
     def to_mat(self) -> MatGF2:
         return MatGF2(self.n, self.n, self.rows)
@@ -153,6 +151,14 @@ class SymMatGF2:
 
     def __repr__(self):
         return f"SymMatGF2({self.to_lists()!r})"
+
+
+def _trusted_sym(n: int, rows: Iterable[int]) -> SymMatGF2:
+    """SymMatGF2 from rows that are symmetric by construction, skipping the O(n^2) check."""
+    M = object.__new__(SymMatGF2)
+    M.n = n
+    M.rows = tuple(rows)
+    return M
 
 
 Matrix = Union[MatGF2, SymMatGF2]
@@ -192,7 +198,7 @@ def gram(X: MatGF2) -> SymMatGF2:
         for j in range(X.nrows):
             acc |= ((ri & X.rows[j]).bit_count() & 1) << j
         rows.append(acc)
-    return SymMatGF2(X.nrows, rows)
+    return _trusted_sym(X.nrows, rows)
 
 
 def kernel_basis(M: Matrix) -> list[int]:

@@ -30,6 +30,7 @@ from .digraph import (
     OrientedGraph,
     Tournament,
     VertexFamily,
+    _relabel_row,
     decode,
     encode,
     invert,
@@ -113,15 +114,9 @@ def _assignment_order(D: OrientedGraph) -> list[int]:
     Cycle-heavy vertices first tightens early pruning; the tie-break keeps
     the search deterministic.
     """
-    out = D.out_masks()
+    out = D.out
     n = D.n
-    into = [0] * n
-    for v in range(n):
-        m = out[v]
-        while m:
-            w = (m & -m).bit_length() - 1
-            into[w] |= 1 << v
-            m &= m - 1
+    into = [a & ~o for a, o in zip(D.adj, out)]
     score = []
     for v in range(n):
         c = 0
@@ -175,20 +170,9 @@ class _RankCap:
 
 
 def _slot_tables(D: OrientedGraph, slots: list[int]):
-    """Orientation and presence masks reindexed by assignment slot."""
-    n = D.n
-    out = D.out_masks()
-    out_slots = [0] * n
-    pres = [0] * n
-    for s in range(n):
-        for t in range(n):
-            if s == t:
-                continue
-            u, v = slots[s], slots[t]
-            if (out[u] >> v) & 1 or (out[v] >> u) & 1:
-                pres[s] |= 1 << t
-                if (out[u] >> v) & 1:
-                    out_slots[s] |= 1 << t
+    """Out-neighbour and adjacency rows reindexed by assignment slot."""
+    out_slots = [_relabel_row(D.out[v], slots) for v in slots]
+    pres = [_relabel_row(D.adj[v], slots) for v in slots]
     return out_slots, pres
 
 
@@ -424,7 +408,7 @@ def _family_from_assignment(D: OrientedGraph, m: int, vecs: Sequence[int]) -> Ve
 def _max_useful_m(D: OrientedGraph) -> int:
     # flipping the 2-set {u, v} flips exactly the arc uv, so inv(D) never
     # exceeds the number of arcs
-    return bin(D.present).count("1")
+    return sum(r.bit_count() for r in D.out)
 
 
 def solve_inv(D: OrientedGraph, budget: Optional[SearchBudget] = None) -> InvResult:

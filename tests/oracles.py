@@ -100,3 +100,36 @@ def all_symmetric_matrices(n: int):
             for (i, j), b in zip(pairs, off):
                 rows[i][j] = rows[j][i] = b
             yield rows
+
+
+# ---------------------------------------------------------------------------
+# arc-list oracles: a graph is n plus a set of (tail, head) pairs, taken from
+# the arc list the graph was built from, never from the library's rows
+
+
+def arcs_invert(arcs, sets):
+    """Reverse an arc iff its endpoints lie together in an odd number of sets."""
+    return {
+        (v, u) if sum(u in s and v in s for s in sets) % 2 else (u, v) for u, v in arcs
+    }
+
+
+def arcs_apply_matrix(arcs, matrix):
+    """Reverse an arc iff its matrix entry is 1."""
+    return {(v, u) if matrix[u][v] else (u, v) for u, v in arcs}
+
+
+def arcs_reverse(arcs):
+    return {(v, u) for u, v in arcs}
+
+
+def arcs_dijoin(n1, arcs1, n2, arcs2):
+    """D1's arcs, D2's arcs shifted by n1, and every cross arc from D1 to D2."""
+    cross = {(u, v) for u in range(n1) for v in range(n1, n1 + n2)}
+    return set(arcs1) | {(u + n1, v + n1) for u, v in arcs2} | cross
+
+
+def arcs_induced(arcs, vertices):
+    """Arcs with both ends in `vertices`, renumbered by rank in sorted order."""
+    rank = {v: k for k, v in enumerate(sorted(set(vertices)))}
+    return {(rank[u], rank[v]) for u, v in arcs if u in rank and v in rank}

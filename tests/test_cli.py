@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from invlab.cli import main
 
 
@@ -43,6 +45,24 @@ def test_check_rejects_wrong_certificate(tmp_path):
     path.write_text(json.dumps(cert))
     code, text = run_cli("check", "3:101", "--cert", str(path))
     assert code == 1 and "FAILED" in text
+
+
+@pytest.mark.parametrize(
+    "cert,field",
+    [
+        ({"kind": "matrix", "value": 1, "order": [0, 1, 2]}, "'matrix'"),
+        ({"kind": "family", "family": [[0, 1]], "value": 1}, "'order'"),
+        ({"kind": "matrix", "matrix": [[0, 0, 0]] * 3, "order": [0, 1, 2]}, "'value'"),
+        ({"kind": "family", "value": 1}, "'family'"),
+        ({"kind": "sets", "value": 1, "order": []}, "'sets'"),
+        ([1, 2], "object"),
+    ],
+)
+def test_check_malformed_certificate_names_the_field(tmp_path, cert, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cert))
+    code, text = run_cli("check", "3:101", "--cert", str(path))
+    assert code == 2 and field in text
 
 
 def test_dijoin_njoin_commands():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from invlab import (
     verify_dijoin_theorems,
     VertexFamily,
 )
-from invlab.explorer import _decycling_offdiag_masks, _rows_from_pair_mask
+from invlab.explorer import _decycling_flips
 
 C3 = decode("3:101")
 
@@ -135,8 +136,8 @@ def test_schur_probe_block_diagonal():
 
 def test_schur_probe_full_rank_3x3():
     # A-block of full rank: identity diagonal with one flipped pair
-    rows = _rows_from_pair_mask(4, _decycling_offdiag_masks(dijoin(C3, decode("1:")))[0], 0b111)
-    M = SymMatGF2(4, rows)
+    flips = _decycling_flips(dijoin(C3, decode("1:")), range(4))
+    M = SymMatGF2(4, [r | (0b111 & (1 << i)) for i, r in enumerate(flips)])
     rec = schur_probe(C3, decode("1:"), M)
     if rec.a_rank == 3:
         assert rec.a_prime_decycles_c3 is not None
@@ -164,14 +165,14 @@ def test_schur_scan_exhaustive_small():
 
 
 def test_decycling_matrix_enumeration_is_complete_and_sound():
-    # every mask decycles; distinct orders give distinct masks
+    # every flip matrix decycles; distinct orders give distinct matrices
     T = decode("4:010011")
-    masks = _decycling_offdiag_masks(T)
+    masks = [_decycling_flips(T, order) for order in itertools.permutations(range(4))]
     assert len(masks) == 24 and len(set(masks)) == 24
     from invlab import is_decycling_matrix
 
     for mask in masks:
-        M = SymMatGF2(4, _rows_from_pair_mask(4, mask, 0))
+        M = SymMatGF2(4, mask)
         assert is_decycling_matrix(T, M)
 
 
@@ -194,3 +195,47 @@ def test_scans_parallel_match_sequential():
     assert seq.violations == par.violations
     assert seq.evidence == par.evidence
     assert seq.instances_checked == par.instances_checked
+
+
+def test_internal_schur_probe_matches_public_probe():
+    from invlab.explorer import _schur_probe
+
+    D1, D2 = C3, decode("2:1")
+    J = dijoin(D1, D2)
+    for order in itertools.permutations(range(J.n)):
+        flips = _decycling_flips(J, order)
+        for diag in range(1 << D1.n):
+            rows = [r | (diag & (1 << i)) for i, r in enumerate(flips)]
+            # the validating constructor accepts every enumerated matrix
+            M = SymMatGF2(J.n, rows)
+            assert _schur_probe(D1, D2, J, M) == schur_probe(D1, D2, M)
+
+
+def test_schur_pair_task_enumerated_tallies():
+    from collections import Counter
+
+    from invlab.explorer import _class_encodings, _schur_pair_task
+
+    tally = Counter()
+    for e1 in _class_encodings(3):
+        for n2 in range(1, 4):
+            for e2 in _class_encodings(n2):
+                # the last two records per pair probe solver witnesses; skip them
+                tally.update(_schur_pair_task((e1, e2, 100, 0))[:-2])
+    # (a_rank, B' decycles, A' decycles C3, A' class) -> count, 100 samples x 8 pairs
+    assert tally == {
+        (0, True, None, None): 13,
+        (1, True, None, None): 95,
+        (2, True, None, None): 365,
+        (3, False, True, 12): 2,
+        (3, False, True, 13): 2,
+        (3, False, True, 26): 1,
+        (3, False, True, 27): 2,
+        (3, True, False, 7): 10,
+        (3, True, False, 57): 28,
+        (3, True, True, 12): 34,
+        (3, True, True, 13): 90,
+        (3, True, True, 26): 60,
+        (3, True, True, 27): 65,
+        (3, True, True, 31): 33,
+    }

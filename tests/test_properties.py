@@ -1,0 +1,125 @@
+"""Property tests for the per-vertex row representation of graphs.
+
+Graphs are generated as arc lists; every operation is compared with the
+arc-list oracles in oracles.py, which never read the library's rows.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from invlab import (
+    OrientedGraph,
+    SymMatGF2,
+    Tournament,
+    VertexFamily,
+    decode,
+    dijoin,
+    encode,
+    induced,
+    invert,
+    reverse,
+)
+from invlab.decycling import apply_matrix
+from oracles import arcs_apply_matrix, arcs_dijoin, arcs_induced, arcs_invert, arcs_reverse
+
+MAX_N = 12
+
+
+@st.composite
+def arc_lists(draw, max_n=MAX_N, tournament=False):
+    """(n, arcs): each pair absent or oriented either way, listed in a random order."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    states = draw(st.lists(st.integers(1 if tournament else 0, 2), min_size=len(pairs),
+                           max_size=len(pairs)))
+    arcs = [(i, j) if s == 1 else (j, i) for (i, j), s in zip(pairs, states) if s]
+    return n, draw(st.permutations(arcs))
+
+
+def check_rows(D):
+    """No self bit, out within adj, adj symmetric, one direction per adjacent pair."""
+    assert len(D.out) == len(D.adj) == D.n
+    for u in range(D.n):
+        assert not (D.adj[u] >> u) & 1
+        assert D.out[u] & ~D.adj[u] == 0
+        assert D.adj[u] >> D.n == 0
+        for v in range(D.n):
+            assert (D.adj[u] >> v) & 1 == (D.adj[v] >> u) & 1
+            if (D.adj[u] >> v) & 1:
+                assert ((D.out[u] >> v) & 1) + ((D.out[v] >> u) & 1) == 1
+    assert D.is_tournament == all(a.bit_count() == D.n - 1 for a in D.adj)
+
+
+@settings(deadline=None)
+@given(arc_lists())
+def test_codec_round_trip_and_rows_oriented(graph):
+    n, arcs = graph
+    D = OrientedGraph(n, arcs)
+    check_rows(D)
+    assert set(D.arcs()) == set(arcs)
+    assert decode(encode(D)) == D
+
+
+@settings(deadline=None)
+@given(st.integers(0, MAX_N).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << (n * (n - 1) // 2)) - 1))))
+def test_codec_round_trip_and_rows_tournament(nbits):
+    n, bits = nbits
+    T = Tournament(n, bits)
+    check_rows(T)
+    assert T.is_tournament
+    text = encode(T)
+    assert decode(text) == T and encode(decode(text)) == text
+    # the bit for pair (i, j), i < j, in lexicographic order says i -> j
+    k = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            assert T.arc(i, j) == bool((bits >> k) & 1)
+            k += 1
+
+
+@settings(deadline=None)
+@given(arc_lists(), st.data())
+def test_invert_matches_oracle(graph, data):
+    n, arcs = graph
+    sets = data.draw(st.lists(st.sets(st.integers(0, n - 1)) if n else st.just(set()),
+                              max_size=4))
+    out = invert(OrientedGraph(n, arcs), VertexFamily.from_sets(n, sets))
+    check_rows(out)
+    assert set(out.arcs()) == arcs_invert(arcs, sets)
+
+
+@settings(deadline=None)
+@given(arc_lists(tournament=True), st.data())
+def test_apply_matrix_matches_oracle(graph, data):
+    n, arcs = graph
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
+    matrix = [[bits[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    out = apply_matrix(OrientedGraph(n, arcs), SymMatGF2.from_rows(matrix))
+    check_rows(out)
+    assert out.is_tournament
+    assert set(out.arcs()) == arcs_apply_matrix(arcs, matrix)
+
+
+@settings(deadline=None)
+@given(arc_lists(max_n=6), arc_lists(max_n=6))
+def test_dijoin_matches_oracle(g1, g2):
+    (n1, arcs1), (n2, arcs2) = g1, g2
+    out = dijoin(OrientedGraph(n1, arcs1), OrientedGraph(n2, arcs2))
+    check_rows(out)
+    assert out.n == n1 + n2
+    assert set(out.arcs()) == arcs_dijoin(n1, arcs1, n2, arcs2)
+
+
+@settings(deadline=None)
+@given(arc_lists(), st.data())
+def test_induced_and_reverse_match_oracle(graph, data):
+    n, arcs = graph
+    D = OrientedGraph(n, arcs)
+    vertices = data.draw(st.sets(st.integers(0, n - 1)) if n else st.just(set()))
+    sub = induced(D, vertices)
+    check_rows(sub)
+    assert set(sub.arcs()) == arcs_induced(arcs, vertices)
+    rev = reverse(D)
+    check_rows(rev)
+    assert set(rev.arcs()) == arcs_reverse(arcs)
