@@ -32,7 +32,7 @@ EXIT_INCONCLUSIVE = 3
 
 
 def _budget(args) -> SearchBudget:
-    return SearchBudget(node_limit=args.node_limit, parallel_width=args.workers)
+    return SearchBudget(node_limit=args.node_limit)
 
 
 def _graphs_from(arg: str, stdin) -> list[str]:
@@ -158,6 +158,10 @@ def _cmd_verify_theorems(args, out) -> int:
 def _cmd_scan(args, out) -> int:
     params = {}
     if args.conjecture == "schur-3x3":
+        if args.node_limit is not None:
+            print("error: scan schur-3x3 runs no search budget; --node-limit does not apply"
+                  " (--budget sets its sample count)", file=out)
+            return EXIT_USAGE
         params["n2_max"] = args.n2 if args.n2 is not None else 3
         if args.budget is not None:
             params["samples"] = args.budget
@@ -165,6 +169,10 @@ def _cmd_scan(args, out) -> int:
     else:
         params["n1"] = args.n1 if args.n1 is not None else 3
         params["n2"] = args.n2 if args.n2 is not None else 3
+        if args.budget is not None and args.node_limit is not None:
+            print("error: --budget and --node-limit both set the node limit of this scan;"
+                  " give one", file=out)
+            return EXIT_USAGE
         params["node_limit"] = args.node_limit if args.budget is None else args.budget
     try:
         report = run_scan(args.conjecture, workers=args.workers, **params)
@@ -178,7 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON schemas verbatim")
     common.add_argument("--seed", type=int, default=0, help="seed for sampled scans")
-    common.add_argument("--workers", type=int, default=1, help="worker process count")
+    common.add_argument(
+        "--workers", type=int, default=1,
+        help="process count for scan and verify-theorems; inv and tmr accept it"
+        " and run one search in one process",
+    )
     common.add_argument("--node-limit", type=int, default=None, help="search node cap")
 
     parser = argparse.ArgumentParser(

@@ -53,7 +53,7 @@ class Certificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Certificate":
-        """Parse certificate JSON; ValueError names a missing field or unknown kind."""
+        """Parse certificate JSON; ValueError names a missing or malformed field or unknown kind."""
         if not isinstance(data, dict):
             raise ValueError("certificate JSON must be an object")
         kind = data.get("kind")
@@ -62,16 +62,47 @@ class Certificate:
         for name in (kind, "value", "order"):
             if name not in data:
                 raise ValueError(f"{kind} certificate is missing the field {name!r}")
+
+        def field(name, parse):
+            try:
+                return parse(data[name])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{kind} certificate field {name!r} is malformed: {exc}") from None
+
+        value = field("value", _json_int)
+        order = field("order", lambda o: tuple(_json_int(v) for v in _json_list(o)))
         if kind == "family":
-            n = data.get("n")
-            if n is None:
-                n = max((v for s in data["family"] for v in s), default=-1) + 1
-            payload: Union[VertexFamily, SymMatGF2] = VertexFamily.from_sets(
-                n, data["family"]
-            )
+            sets = field("family", lambda x: _json_rows(x, _json_int))
+            if "n" in data:
+                n = field("n", _json_int)
+            else:
+                n = max((v for s in sets for v in s), default=-1) + 1
+            payload: Union[VertexFamily, SymMatGF2] = VertexFamily.from_sets(n, sets)
         else:
-            payload = SymMatGF2.from_rows(data["matrix"])
-        return cls(kind, payload, int(data["value"]), tuple(data["order"]))
+            payload = field("matrix", lambda x: SymMatGF2.from_rows(_json_rows(x, _json_bit)))
+        return cls(kind, payload, value, order)
+
+
+def _json_int(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _json_list(x) -> list:
+    if not isinstance(x, list):
+        raise TypeError(f"expected a list, got {x!r}")
+    return x
+
+
+def _json_bit(x) -> int:
+    if _json_int(x) not in (0, 1):
+        raise ValueError(f"expected 0 or 1, got {x!r}")
+    return x
+
+
+def _json_rows(x, item) -> list[list[int]]:
+    return [[item(v) for v in _json_list(row)] for row in _json_list(x)]
 
 
 def is_decycling_family(D: OrientedGraph, family: VertexFamily) -> bool:

@@ -322,12 +322,17 @@ def _principal_by_kernel_extension(A: SymMatGF2, k: int) -> tuple[int, ...]:
     return tuple(chosen)
 
 
+def _echelon_reduce(echelon: list[int], vec: int) -> int:
+    """vec reduced against an echelon basis (rows sorted by leading bit, descending)."""
+    for e in echelon:
+        if vec & (1 << (e.bit_length() - 1)):
+            vec ^= e
+    return vec
+
+
 def _echelon_insert(echelon: list[int], vec: int) -> bool:
     """Insert vec into an echelon basis in place; False if already dependent."""
-    v = vec
-    for e in echelon:
-        if v & (1 << (e.bit_length() - 1)):
-            v ^= e
+    v = _echelon_reduce(echelon, vec)
     if v == 0:
         return False
     echelon.append(v)

@@ -2,21 +2,24 @@
 
 A family of m vertex subsets is the same thing as an assignment of a vector
 in GF(2)^m to every vertex (bit i marks membership in set i), and an arc
-flips iff its endpoints' vectors have odd dot product.  The solvers iterate
-m = 0, 1, 2, ... and search assignments depth-first; a partial assignment is
-pruned as soon as the flipped graph induced on the assigned vertices is
-cyclic, which is safe because induced subgraphs of acyclic digraphs are
-acyclic.
+flips iff its endpoints' vectors have odd dot product.  A level search finds
+the lexicographically first decycling width-m assignment depth-first; a
+partial assignment is pruned as soon as the flipped graph induced on the
+assigned vertices is cyclic, which is safe because induced subgraphs of
+acyclic digraphs are acyclic.
 
-tmr search additionally runs, at even levels k where width k failed, a
-width-(k+1) pass restricted to assignments of rank at most k; by the
-symmetric factorization this makes level k exhaustive over rank-k decycling
-matrices.
+One level loop (_levels) serves every solver.  It tries width k at levels
+k = 0, 1, 2, ... and, with the rank pass on, also a width-(k+1) pass
+restricted to assignments of rank at most k at even levels where width k
+failed; by the symmetric factorization the pair of passes is exhaustive over
+rank-k decycling matrices.  solve_inv runs the loop without the rank pass,
+solve_tmr with it, and check_trichotomy reads inv, tmr and both
+certificates off one run with it.  The search runs in the calling process;
+scans parallelise across instances instead.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -31,13 +34,12 @@ from .digraph import (
     Tournament,
     VertexFamily,
     _relabel_row,
-    decode,
     encode,
     invert,
     is_acyclic,
     topological_order,
 )
-from .gf2 import rank
+from .gf2 import _echelon_reduce, rank
 
 
 @dataclass(frozen=True)
@@ -45,23 +47,17 @@ class SearchBudget:
     """Limits for the exact search.
 
     Exceeding node_limit aborts with an explicit Inconclusive carrying the
-    bounds proved so far, never a wrong value.  parallel_width > 1 fans the
-    top-level branches (the first two vertices' vectors) out to worker
-    processes; with a node_limit set the search stays sequential so node
-    accounting is exact.
+    bounds proved so far, never a wrong value.
     """
 
     max_m: Optional[int] = None
     node_limit: Optional[int] = None
-    parallel_width: int = 1
 
     def __post_init__(self):
         if self.max_m is not None and self.max_m < 0:
             raise ValueError("max_m must be nonnegative")
         if self.node_limit is not None and self.node_limit < 0:
             raise ValueError("node_limit must be nonnegative")
-        if self.parallel_width < 1:
-            raise ValueError("parallel_width must be at least 1")
 
 
 class Inconclusive(Exception):
@@ -135,13 +131,6 @@ def _first_candidates(m: int) -> list[int]:
     return [(1 << a) - 1 for a in range(m + 1)]
 
 
-def _reduce_vec(x: int, basis: list[int]) -> int:
-    for e in basis:
-        if x & (1 << (e.bit_length() - 1)):
-            x ^= e
-    return x
-
-
 class _RankCap:
     """Tracks the rank of the assigned vectors against a cap."""
 
@@ -155,7 +144,7 @@ class _RankCap:
         """Admit x; returns a token for pop(), or None when the cap blocks it."""
         if self.cap is None:
             return 0
-        red = _reduce_vec(x, self.basis)
+        red = _echelon_reduce(self.basis, x)
         if red == 0:
             return 0
         if len(self.basis) >= self.cap:
@@ -182,31 +171,22 @@ def _level_search(
     *,
     counter: _Nodes,
     rank_cap: Optional[int] = None,
-    prefix: Sequence[int] = (),
-    prune: bool = True,
 ) -> Optional[tuple[int, ...]]:
     """Lexicographically first decycling width-m assignment, or None.
 
-    Vectors are indexed by assignment slot (see _assignment_order); `prefix`
-    pins the first slots' vectors, which is how top-level branches are
-    handed to workers.
+    Vectors are indexed by assignment slot (see _assignment_order).
     """
     n = D.n
     if n == 0:
         return ()
     slots = _assignment_order(D)
     out_slots, pres = _slot_tables(D, slots)
-    if D.is_tournament and prune:
-        return _search_tournament(
-            n, out_slots, m, counter=counter, rank_cap=rank_cap, prefix=prefix
-        )
-    return _search_general(
-        n, out_slots, pres, m,
-        counter=counter, rank_cap=rank_cap, prefix=prefix, prune=prune,
-    )
+    if D.is_tournament:
+        return _search_tournament(n, out_slots, m, counter=counter, rank_cap=rank_cap)
+    return _search_general(n, out_slots, pres, m, counter=counter, rank_cap=rank_cap)
 
 
-def _search_tournament(n, out_slots, m, *, counter, rank_cap, prefix):
+def _search_tournament(n, out_slots, m, *, counter, rank_cap):
     vecs = [0] * n
     order: list[int] = []  # assigned slots, transitive order, winners first
     cap = _RankCap(rank_cap)
@@ -228,12 +208,7 @@ def _search_tournament(n, out_slots, m, *, counter, rank_cap, prefix):
     def dfs(i: int) -> bool:
         if i == n:
             return True
-        if i < len(prefix):
-            cands: Sequence[int] = (prefix[i],)
-        elif i == 0:
-            cands = _first_candidates(m)
-        else:
-            cands = range(1 << m)
+        cands = _first_candidates(m) if i == 0 else range(1 << m)
         for x in cands:
             token = cap.push(x)
             if token is None:
@@ -254,7 +229,7 @@ def _search_tournament(n, out_slots, m, *, counter, rank_cap, prefix):
     return tuple(vecs) if dfs(0) else None
 
 
-def _search_general(n, out_slots, pres, m, *, counter, rank_cap, prefix, prune):
+def _search_general(n, out_slots, pres, m, *, counter, rank_cap):
     vecs = [0] * n
     fout = [0] * n  # flipped out-masks among assigned slots
     assigned = 0
@@ -295,37 +270,17 @@ def _search_general(n, out_slots, pres, m, *, counter, rank_cap, prefix, prune):
                 return False
         return True
 
-    def acyclic_full() -> bool:
-        remaining = (1 << n) - 1
-        while remaining:
-            removed = False
-            scan = remaining
-            while scan:
-                v = (scan & -scan).bit_length() - 1
-                scan &= scan - 1
-                if not any((fout[s] >> v) & 1 for s in _bits(remaining & ~(1 << v))):
-                    remaining &= ~(1 << v)
-                    removed = True
-            if not removed:
-                return False
-        return True
-
     def dfs(i: int) -> bool:
         nonlocal assigned
         if i == n:
-            return prune or acyclic_full()
-        if i < len(prefix):
-            cands: Sequence[int] = (prefix[i],)
-        elif i == 0:
-            cands = _first_candidates(m)
-        else:
-            cands = range(1 << m)
+            return True
+        cands = _first_candidates(m) if i == 0 else range(1 << m)
         for x in cands:
             token = cap.push(x)
             if token is None:
                 continue
             io, ii = flipped_arcs(i, x)
-            if prune and not acyclic_with(i, io, ii):
+            if not acyclic_with(i, io, ii):
                 cap.pop(token)
                 continue
             counter.tick()
@@ -352,47 +307,6 @@ def _search_general(n, out_slots, pres, m, *, counter, rank_cap, prefix, prune):
     return tuple(vecs) if dfs(0) else None
 
 
-def _bits(mask: int):
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-
-
-# ---------------------------------------------------------------------------
-# top-level branch distribution
-
-
-def _branch_prefixes(m: int, n: int) -> list[tuple[int, ...]]:
-    firsts = _first_candidates(m)
-    if n < 2 or m == 0:
-        return [(x,) for x in firsts] if n else [()]
-    return [(x0, x1) for x0 in firsts for x1 in range(1 << m)]
-
-
-def _branch_worker(args) -> Optional[tuple[int, ...]]:
-    enc, m, prefix, rank_cap = args
-    return _level_search(
-        decode(enc), m, counter=_Nodes(None), rank_cap=rank_cap, prefix=prefix
-    )
-
-
-def _run_level(D, m, budget: SearchBudget, counter: _Nodes, rank_cap=None):
-    """One level of the search, optionally fanned out over worker processes.
-
-    Branches are merged in lexicographic prefix order, so the result is
-    independent of scheduling and identical to the sequential search.
-    """
-    if budget.parallel_width <= 1 or budget.node_limit is not None or D.n < 2:
-        return _level_search(D, m, counter=counter, rank_cap=rank_cap)
-    enc = encode(D)
-    tasks = [(enc, m, p, rank_cap) for p in _branch_prefixes(m, D.n)]
-    with ProcessPoolExecutor(max_workers=budget.parallel_width) as pool:
-        for found in pool.map(_branch_worker, tasks, chunksize=4):
-            if found is not None:
-                return found
-    return None
-
-
 # ---------------------------------------------------------------------------
 # solvers
 
@@ -411,71 +325,74 @@ def _max_useful_m(D: OrientedGraph) -> int:
     return sum(r.bit_count() for r in D.out)
 
 
-def solve_inv(D: OrientedGraph, budget: Optional[SearchBudget] = None) -> InvResult:
-    """Exact inversion number with a witnessing family certificate."""
-    budget = budget or SearchBudget()
+def _levels(
+    D: OrientedGraph, budget: SearchBudget, rank_pass: bool
+) -> tuple[int, int, tuple[int, ...]]:
+    """The first level k with a decycling assignment: (k, its width, its vectors).
+
+    Every level tries width k; with rank_pass, even levels k > 0 where width
+    k fails also try width k+1 under rank cap k.
+    """
     counter = _Nodes(budget.node_limit)
     hard_cap = _max_useful_m(D)
-    m = 0
+    cap_name = "rank cap" if rank_pass else "family size cap"
+    k = 0
     while True:
-        if budget.max_m is not None and m > budget.max_m:
-            raise Inconclusive(m, None, f"family size cap {budget.max_m} reached")
+        if budget.max_m is not None and k > budget.max_m:
+            raise Inconclusive(k, None, f"{cap_name} {budget.max_m} reached")
         try:
-            found = _run_level(D, m, budget, counter)
+            found = _level_search(D, k, counter=counter)
+            if found is not None:
+                return k, k, found
+            if rank_pass and k > 0 and k % 2 == 0:
+                found = _level_search(D, k + 1, counter=counter, rank_cap=k)
+                if found is not None:
+                    return k, k + 1, found
         except _NodeLimit:
             raise Inconclusive(
-                m, None, f"node limit {budget.node_limit} reached at level {m}"
+                k, None, f"node limit {budget.node_limit} reached at level {k}"
             ) from None
-        if found is not None:
-            family = _family_from_assignment(D, m, found)
-            after = invert(D, family)
-            cert = Certificate("family", family, m, topological_order(after))
-            return InvResult(m, cert)
-        m += 1
-        if m > hard_cap:
-            raise AssertionError("search exceeded the arc-count bound on inv")
+        k += 1
+        if k > hard_cap:
+            raise AssertionError("search exceeded the arc-count bound")
+
+
+def _inv_result(D: OrientedGraph, family: VertexFamily) -> InvResult:
+    after = invert(D, family)
+    return InvResult(family.m, Certificate("family", family, family.m, topological_order(after)))
+
+
+def _tmr_result(T: Tournament, k: int, family: VertexFamily) -> TmrResult:
+    # a width-k success settles that some minimum-rank decycling matrix has a
+    # nonzero diagonal entry (for k > 0), since a gram matrix of full column
+    # rank cannot have an all-zero diagonal; a width-k failure means every
+    # minimum-rank decycling matrix is zero-diagonal
+    M = family_to_matrix(family)
+    if rank(M) != k:
+        raise AssertionError("level invariant broken: found gram of wrong rank")
+    return TmrResult(k, matrix_certificate(T, M), family.m == k and k > 0)
+
+
+def _require_tournament(T) -> None:
+    if not isinstance(T, OrientedGraph) or not T.is_tournament:
+        raise TypeError("tmr is defined for tournaments only")
+
+
+def solve_inv(D: OrientedGraph, budget: Optional[SearchBudget] = None) -> InvResult:
+    """Exact inversion number with a witnessing family certificate."""
+    _, width, vecs = _levels(D, budget or SearchBudget(), rank_pass=False)
+    return _inv_result(D, _family_from_assignment(D, width, vecs))
 
 
 def solve_tmr(T: Tournament, budget: Optional[SearchBudget] = None) -> TmrResult:
     """Exact tournament minimum rank with a minimum-rank matrix certificate.
 
-    Level k tries width-k assignments, and when k is even and width k fails,
-    width-(k+1) assignments of rank at most k; by the symmetric factorization
-    that pair of passes is exhaustive over rank-k decycling matrices.  A width-k
-    success also settles that some minimum-rank decycling matrix has a
-    nonzero diagonal entry (for k > 0), since a gram matrix of full column
-    rank cannot have an all-zero diagonal; conversely a width-k failure means
-    every minimum-rank decycling matrix is zero-diagonal.
+    The rank pass makes each level exhaustive over rank-k decycling matrices
+    (see the module docstring), so the first level that succeeds is tmr.
     """
-    if not isinstance(T, OrientedGraph) or not T.is_tournament:
-        raise TypeError("tmr is defined for tournaments only")
-    budget = budget or SearchBudget()
-    counter = _Nodes(budget.node_limit)
-    hard_cap = _max_useful_m(T)
-    k = 0
-    while True:
-        if budget.max_m is not None and k > budget.max_m:
-            raise Inconclusive(k, None, f"rank cap {budget.max_m} reached")
-        try:
-            found = _run_level(T, k, budget, counter)
-            wide = None
-            if found is None and k > 0 and k % 2 == 0:
-                wide = _run_level(T, k + 1, budget, counter, rank_cap=k)
-        except _NodeLimit:
-            raise Inconclusive(
-                k, None, f"node limit {budget.node_limit} reached at level {k}"
-            ) from None
-        if found is not None or wide is not None:
-            width = k if found is not None else k + 1
-            family = _family_from_assignment(T, width, found if found is not None else wide)
-            M = family_to_matrix(family)
-            if rank(M) != k:
-                raise AssertionError("level invariant broken: found gram of wrong rank")
-            cert = matrix_certificate(T, M)
-            return TmrResult(k, cert, found is not None and k > 0)
-        k += 1
-        if k > hard_cap:
-            raise AssertionError("search exceeded the arc-count bound on tmr")
+    _require_tournament(T)
+    k, width, vecs = _levels(T, budget or SearchBudget(), rank_pass=True)
+    return _tmr_result(T, k, _family_from_assignment(T, width, vecs))
 
 
 @dataclass(frozen=True)
@@ -530,8 +447,17 @@ class TrichotomyReport:
 
 def check_trichotomy(T: Tournament, budget: Optional[SearchBudget] = None) -> TrichotomyReport:
     """Compute inv and tmr and report every fact of the inv/tmr trichotomy."""
-    inv_res = solve_inv(T, budget)
-    tmr_res = solve_tmr(T, budget)
+    _require_tournament(T)
+    k, width, vecs = _levels(T, budget or SearchBudget(), rank_pass=True)
+    # One run of the rank-pass loop answers both questions.  It tries width j
+    # at every level j <= k, the same passes solve_inv makes, so every width
+    # below the returned one failed: inv = k when width k succeeded, and
+    # inv = k+1 when only the rank-capped width-(k+1) pass did.  Either way the
+    # returned assignment is a minimum decycling family, and its gram matrix
+    # is a minimum-rank decycling matrix.
+    family = _family_from_assignment(T, width, vecs)
+    inv_res = _inv_result(T, family)
+    tmr_res = _tmr_result(T, k, family)
     return TrichotomyReport(
         encoding=encode(T),
         inv=inv_res.value,

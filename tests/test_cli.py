@@ -56,6 +56,18 @@ def test_check_rejects_wrong_certificate(tmp_path):
         ({"kind": "family", "value": 1}, "'family'"),
         ({"kind": "sets", "value": 1, "order": []}, "'sets'"),
         ([1, 2], "object"),
+        ({"kind": "family", "family": 1, "value": 1, "order": [1, 2, 0]}, "'family'"),
+        ({"kind": "family", "family": [[0, "a"]], "value": 1, "order": [1, 2, 0]}, "'family'"),
+        ({"kind": "family", "family": [[0, 1]], "value": "x", "order": [1, 2, 0]}, "'value'"),
+        ({"kind": "family", "family": [[0, 1]], "value": 1, "order": 5}, "'order'"),
+        ({"kind": "family", "family": [[0, 1]], "n": "3", "value": 1, "order": [1, 2, 0]}, "'n'"),
+        ({"kind": "matrix", "matrix": 7, "value": 1, "order": [1, 2, 0]}, "'matrix'"),
+        ({"kind": "matrix", "matrix": [[1, 1, 0], [1, 1, "0"], [0, 0, 0]], "value": 1,
+          "order": [1, 2, 0]}, "'matrix'"),
+        ({"kind": "matrix", "matrix": [[1, 1, 0], [1, 1, 0], [0, 0, 0]], "value": [1],
+          "order": [1, 2, 0]}, "'value'"),
+        ({"kind": "matrix", "matrix": [[1, 1, 2], [1, 1, 0], [2, 0, 0]], "value": 1,
+          "order": [1, 2, 0]}, "'matrix'"),
     ],
 )
 def test_check_malformed_certificate_names_the_field(tmp_path, cert, field):
@@ -113,6 +125,17 @@ def test_scan_schur_sampled():
     assert code == 0
 
 
+def test_scan_budget_flags_are_explicit():
+    for conjecture in ("tmr-additivity", "inv-lower-bound"):
+        code, text = run_cli("scan", conjecture, "--n1", "2", "--n2", "2",
+                             "--budget", "100", "--node-limit", "100")
+        assert code == 2 and "--budget" in text and "--node-limit" in text
+        code, _ = run_cli("scan", conjecture, "--n1", "2", "--n2", "2", "--node-limit", "100")
+        assert code == 0
+    code, text = run_cli("scan", "schur-3x3", "--n2", "2", "--node-limit", "100")
+    assert code == 2 and "--node-limit" in text
+
+
 def test_usage_errors_name_the_input():
     code, text = run_cli("inv", "3:10z")
     assert code == 2 and "'z'" in text
@@ -138,6 +161,10 @@ def test_tmr_certificate_checks_back(tmp_path):
 def test_inconclusive_exit_code():
     code, text = run_cli("inv", "6:101111111111101", "--node-limit", "2")
     assert code == 3 and "inconclusive" in text
+    # --workers does not drop the budget of a single solve
+    for kind in ("inv", "tmr"):
+        code, text = run_cli(kind, "6:101111111111101", "--workers", "2", "--node-limit", "2")
+        assert code == 3 and "node limit 2 reached" in text
 
 
 def test_stdin_batch(monkeypatch):

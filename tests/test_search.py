@@ -16,7 +16,6 @@ from invlab import (
     solve_tmr,
     verify_certificate,
 )
-from invlab.search import _level_search, _Nodes
 from oracles import all_oriented_graphs, naive_inv
 
 C3 = decode("3:101")
@@ -104,6 +103,35 @@ def test_check_trichotomy_examples():
             assert check_trichotomy(T).holds
 
 
+def test_check_trichotomy_matches_solve_inv_on_classes_n_le_7():
+    # check_trichotomy reads inv off the rank-pass search; solve_inv runs
+    # without that pass, so the two must agree and both certificates replay;
+    # for n <= 5 inv is also checked against the enumerating oracle
+    for n in range(1, 8):
+        for T in enumerate_tournaments(n, up_to_iso=True):
+            r = check_trichotomy(T)
+            assert r.inv == solve_inv(T).value
+            tmr = solve_tmr(T)
+            assert (r.tmr, r.min_rank_nonzero_diag) == (tmr.value, tmr.min_rank_nonzero_diag)
+            if n <= 5:
+                assert r.inv == naive_inv(T, max_m=2)
+            assert verify_certificate(T, r.inv_certificate)
+            assert verify_certificate(T, r.tmr_certificate)
+
+
+def test_check_trichotomy_gap_instance():
+    # no class with n <= 7 has inv > tmr; this one does, so inv comes from
+    # the rank-capped width-(tmr + 1) assignment
+    T = decode("10:010100000111011100001001111110010000111110100")
+    r = check_trichotomy(T)
+    assert (r.inv, r.tmr, r.min_rank_nonzero_diag) == (3, 2, False)
+    assert r.holds
+    assert r.inv == solve_inv(T).value and r.tmr == solve_tmr(T).value
+    assert r.inv_certificate.kind == "family" and r.inv_certificate.payload.m == 3
+    assert verify_certificate(T, r.inv_certificate)
+    assert verify_certificate(T, r.tmr_certificate)
+
+
 def test_verify_certificate_examples():
     good = Certificate("family", VertexFamily.from_sets(3, [[0, 1]]), 1, (1, 2, 0))
     assert verify_certificate(C3, good)
@@ -138,30 +166,6 @@ def test_determinism_with_fixed_budget():
     assert solve_tmr(J) == solve_tmr(J)
 
 
-def test_parallel_width_matches_sequential():
-    graphs = [dijoin(C3, C3), decode("5:0110010110"), decode("4;0>1,1>2,2>3,3>0")]
-    for D in graphs:
-        seq = solve_inv(D, SearchBudget())
-        par = solve_inv(D, SearchBudget(parallel_width=2))
-        assert seq == par
-
-
-def test_pruning_is_safe_and_saves_nodes():
-    # pruned and unpruned searches agree, and pruning never explores more
-    for n in range(1, 6):
-        for T in enumerate_tournaments(n):
-            value = solve_inv(T).value
-            pruned, unpruned = _Nodes(), _Nodes()
-            got_p = _level_search(T, value, counter=pruned)
-            got_u = _level_search(T, value, counter=unpruned, prune=False)
-            assert got_p is not None and got_u is not None
-            assert got_p == got_u
-            assert pruned.used <= unpruned.used
-            if value > 0:
-                assert _level_search(T, value - 1, counter=_Nodes()) is None
-                assert _level_search(T, value - 1, counter=_Nodes(), prune=False) is None
-
-
 def test_solve_tmr_against_brute_force_enumeration():
     # independent oracle: enumerate every symmetric matrix, keep the
     # decycling ones, read off the minimum rank and whether any attaining
@@ -192,4 +196,4 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(max_m=-1)
     with pytest.raises(ValueError):
-        SearchBudget(parallel_width=0)
+        SearchBudget(node_limit=-1)
