@@ -38,7 +38,7 @@ from .digraph import (
     transitive_tournament,
 )
 from .gf2 import MatGF2, SymMatGF2, _trusted_sym, full_rank_principal, schur_update
-from .search import Inconclusive, SearchBudget, solve_inv, solve_tmr
+from .search import Inconclusive, SearchBudget, check_trichotomy, solve_inv, solve_tmr
 
 REPORT_SCHEMA = "invlab.scan-report/1"
 
@@ -197,8 +197,9 @@ def _inv_value(enc: str, node_limit: Optional[int] = None) -> int:
 
 @lru_cache(maxsize=None)
 def _tmr_result(enc: str, node_limit: Optional[int] = None):
-    res = solve_tmr(decode(enc), _budget(node_limit))
-    return res.value, res.min_rank_nonzero_diag
+    """(tmr, min_rank_nonzero_diag, inv), all read off one rank-pass search."""
+    res = check_trichotomy(decode(enc), _budget(node_limit))
+    return res.tmr, res.min_rank_nonzero_diag, res.inv
 
 
 def _map_ordered(fn, items, workers: int):
@@ -242,10 +243,10 @@ def _dijoin_pair_task(args) -> dict:
     d1, d2 = decode(enc1), decode(enc2)
     j12 = encode(dijoin(d1, d2))
     inv1 = value(_inv_value, enc1, enc1)
-    inv2 = value(_inv_value, enc2, enc2)
-    t2 = value(lambda e, nl: _tmr_result(e, nl)[0], enc2, enc2)
-    if None in (inv1, inv2, t2):
+    res2 = value(_tmr_result, enc2, enc2)
+    if inv1 is None or res2 is None:
         return out
+    t2, _, inv2 = res2
     checks = out["checks"]
     if inv1 == 2:
         invj = value(_inv_value, j12, j12)

@@ -8,6 +8,26 @@ partial assignment is pruned as soon as the flipped graph induced on the
 assigned vertices is cyclic, which is safe because induced subgraphs of
 acyclic digraphs are acyclic.
 
+Candidates are handled as sets: a subset of GF(2)^m is a 2^m-bit int with
+bit x standing for the vector x.  On tournaments the acyclic extensions of a
+placed slot order are one transitive order, so the new slot's valid vectors
+are the union over insert positions p of "loses to the first p placed slots"
+and "beats the rest", built from the cached sets {x : x.v odd} with
+O(slots placed) big-int operations (_placements); the loop then walks only
+the valid x in ascending order.  Oriented graphs still test each x for an
+acyclic extension.
+
+Column order (lex-leader symmetry breaking): permuting the m columns of an
+assignment keeps every dot product, hence the flipped graph, the gram matrix
+and its rank.  While columns j and j+1 are equal on every row so far, a row
+with x_j = 0 and x_{j+1} = 1 is skipped (_lex_allowed); on the first row this
+leaves exactly the words 1^a 0^b.  Witnesses do not change: the search
+returns the lexicographically least assignment, and were it to break the
+rule at some row, swapping columns j and j+1 would give a smaller decycling
+assignment of the same rank.  So the rule cuts only subtrees that hold no
+solution lexicographically before the witness, the same witness comes back,
+and node counts (one per accepted placement) can only fall.
+
 One level loop (_levels) serves every solver.  It tries width k at levels
 k = 0, 1, 2, ... and, with the rank pass on, also a width-(k+1) pass
 restricted to assignments of rank at most k at even levels where width k
@@ -21,6 +41,7 @@ scans parallelise across instances instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .decycling import (
@@ -125,10 +146,36 @@ def _assignment_order(D: OrientedGraph) -> list[int]:
     return sorted(range(n), key=lambda v: (-score[v], v))
 
 
-def _first_candidates(m: int) -> list[int]:
-    # column permutations preserve the gram matrix, so the first vertex's
-    # vector may be forced to the sorted form 1^a 0^b
-    return [(1 << a) - 1 for a in range(m + 1)]
+@lru_cache(maxsize=None)
+def _parity_sets(m: int) -> tuple[int, ...]:
+    """P[v] = {x in GF(2)^m : x.v odd}, each set a 2^m-bit int (bit x = member x)."""
+    full = (1 << (1 << m)) - 1
+    # col[b] = {x : bit b of x set}: runs of 2^b ones after 2^b zeros, repeated
+    col = [
+        full // ((1 << (2 << b)) - 1) * (((1 << (1 << b)) - 1) << (1 << b))
+        for b in range(m)
+    ]
+    P = [0] * (1 << m)
+    for v in range(1, 1 << m):
+        low = v & -v
+        P[v] = P[v ^ low] ^ col[low.bit_length() - 1]
+    return tuple(P)
+
+
+@lru_cache(maxsize=None)
+def _lex_allowed(m: int, tie: int) -> int:
+    """The x in GF(2)^m with no tied column pair (j, j+1) read as x_j = 0, x_{j+1} = 1.
+
+    Bit j of tie marks columns j and j+1 equal on every row assigned so far;
+    the result is a 2^m-bit set like _parity_sets.
+    """
+    col = [_parity_sets(m)[1 << b] for b in range(m)]
+    allowed = (1 << (1 << m)) - 1
+    while tie:
+        j = (tie & -tie).bit_length() - 1
+        tie &= tie - 1
+        allowed &= ~(col[j + 1] & ~col[j])
+    return allowed
 
 
 class _RankCap:
@@ -186,47 +233,75 @@ def _level_search(
     return _search_general(n, out_slots, pres, m, counter=counter, rank_cap=rank_cap)
 
 
+def _placements(
+    oi: int, order: list[int], odd: list[int], full: int
+) -> tuple[int, list[int]]:
+    """Candidate sets for a tournament slot with out row oi: (all valid x, parts).
+
+    parts[p] holds the x that put the slot at position p of the transitive
+    order, losing to order[:p] and beating order[p:]; the slot beats t iff its
+    out bit toward t differs from x.vecs[t] mod 2, so the x that beat t are
+    odd[t] = {x : x.vecs[t] odd} or its complement in full.  The parts are
+    disjoint, and this takes O(len(order)) big-int operations for all x at once.
+    """
+    k = len(order)
+    beats = [0] * k + [full]  # beats[p]: the x beating all of order[p:]
+    acc = full
+    for p in range(k - 1, -1, -1):
+        t = order[p]
+        acc &= odd[t] ^ full if (oi >> t) & 1 else odd[t]
+        if not acc:
+            break
+        beats[p] = acc
+    parts = [0] * (k + 1)
+    valid = 0
+    loses = full
+    for p in range(k + 1):
+        parts[p] = part = loses & beats[p]
+        valid |= part
+        if p < k:
+            t = order[p]
+            loses &= odd[t] if (oi >> t) & 1 else odd[t] ^ full
+            if not loses:
+                break
+    return valid, parts
+
+
 def _search_tournament(n, out_slots, m, *, counter, rank_cap):
+    full = (1 << (1 << m)) - 1
+    par = _parity_sets(m)
     vecs = [0] * n
+    odd = [0] * n  # odd[t] = par[vecs[t]]
     order: list[int] = []  # assigned slots, transitive order, winners first
     cap = _RankCap(rank_cap)
 
-    def try_place(i: int, x: int) -> Optional[int]:
-        # flipped arcs against the current order must read as losses then
-        # wins; returns the insertion position, None when no position fits
-        oi = out_slots[i]
-        first_win = -1
-        for pos, t in enumerate(order):
-            beats = ((oi >> t) & 1) ^ ((x & vecs[t]).bit_count() & 1)
-            if beats:
-                if first_win < 0:
-                    first_win = pos
-            elif first_win >= 0:
-                return None
-        return first_win if first_win >= 0 else len(order)
-
-    def dfs(i: int) -> bool:
+    def dfs(i: int, tie: int) -> bool:
         if i == n:
             return True
-        cands = _first_candidates(m) if i == 0 else range(1 << m)
-        for x in cands:
+        valid, parts = _placements(out_slots[i], order, odd, full)
+        valid &= _lex_allowed(m, tie)
+        while valid:
+            low = valid & -valid
+            valid ^= low
+            x = low.bit_length() - 1
             token = cap.push(x)
             if token is None:
                 continue
-            pos = try_place(i, x)
-            if pos is None:
-                cap.pop(token)
-                continue
+            pos = 0
+            while not parts[pos] & low:
+                pos += 1
             counter.tick()
             vecs[i] = x
+            odd[i] = par[x]
             order.insert(pos, i)
-            if dfs(i + 1):
+            if dfs(i + 1, tie & ~(x ^ (x >> 1))):
                 return True
             del order[pos]
             cap.pop(token)
         return False
 
-    return tuple(vecs) if dfs(0) else None
+    all_tied = (1 << max(m - 1, 0)) - 1  # bit j: columns j, j+1 still equal
+    return tuple(vecs) if dfs(0, all_tied) else None
 
 
 def _search_general(n, out_slots, pres, m, *, counter, rank_cap):
@@ -270,12 +345,15 @@ def _search_general(n, out_slots, pres, m, *, counter, rank_cap):
                 return False
         return True
 
-    def dfs(i: int) -> bool:
+    def dfs(i: int, tie: int) -> bool:
         nonlocal assigned
         if i == n:
             return True
-        cands = _first_candidates(m) if i == 0 else range(1 << m)
-        for x in cands:
+        cands = _lex_allowed(m, tie)
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            x = low.bit_length() - 1
             token = cap.push(x)
             if token is None:
                 continue
@@ -292,7 +370,7 @@ def _search_general(n, out_slots, pres, m, *, counter, rank_cap):
                 rest &= rest - 1
                 fout[t] |= 1 << i
             assigned |= 1 << i
-            if dfs(i + 1):
+            if dfs(i + 1, tie & ~(x ^ (x >> 1))):
                 return True
             assigned &= ~(1 << i)
             rest = ii
@@ -304,7 +382,8 @@ def _search_general(n, out_slots, pres, m, *, counter, rank_cap):
             cap.pop(token)
         return False
 
-    return tuple(vecs) if dfs(0) else None
+    all_tied = (1 << max(m - 1, 0)) - 1  # bit j: columns j, j+1 still equal
+    return tuple(vecs) if dfs(0, all_tied) else None
 
 
 # ---------------------------------------------------------------------------

@@ -133,3 +133,22 @@ def arcs_induced(arcs, vertices):
     """Arcs with both ends in `vertices`, renumbered by rank in sorted order."""
     rank = {v: k for k, v in enumerate(sorted(set(vertices)))}
     return {(rank[u], rank[v]) for u, v in arcs if u in rank and v in rank}
+
+
+def place_position(order, vecs, out_row, x):
+    """Where a tournament slot with vector x and out row out_row enters order.
+
+    The per-vector rule the search once applied to each candidate: arcs to the
+    placed slots in order (winners first) flip when the dot product with
+    their vectors is odd, and must read as losses then wins.  Returns the
+    insert position, or None when no position keeps the order transitive.
+    """
+    first_win = -1
+    for pos, t in enumerate(order):
+        beats = ((out_row >> t) & 1) ^ ((x & vecs[t]).bit_count() & 1)
+        if beats:
+            if first_win < 0:
+                first_win = pos
+        elif first_win >= 0:
+            return None
+    return first_win if first_win >= 0 else len(order)

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -184,3 +188,14 @@ def test_byte_identical_reruns():
     ja, jb = json.loads(a[1]), json.loads(b[1])
     ja.pop("elapsed"), jb.pop("elapsed")
     assert a[0] == b[0] and ja == jb
+
+
+def test_python_m_invlab_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "invlab", "inv", "3:101"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "inv = 1" in proc.stdout

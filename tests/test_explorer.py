@@ -22,7 +22,7 @@ from invlab import (
     verify_dijoin_theorems,
     VertexFamily,
 )
-from invlab.explorer import _decycling_flips
+from invlab.explorer import _decycling_flips, _dijoin_pair_task, _tmr_result
 
 C3 = decode("3:101")
 
@@ -76,6 +76,19 @@ def test_verify_dijoin_theorems_small():
     assert report.inconclusive == []
     assert report.evidence["checks_run"]["dijoin-switch"] > 0
     assert report.evidence["checks_run"]["three-join-identity"] > 0
+
+
+def test_dijoin_pair_task_reads_d2_off_one_search():
+    # D2 has inv 3 and tmr 2, so inv2 must come from the rank-capped width-3
+    # assignment of the tmr search; no class with n <= 7 has a gap
+    gap = "10:010100000111011100001001111110010000111110100"
+    assert _tmr_result(gap) == (2, False, 3)
+    out = _dijoin_pair_task(("3:101", gap, None))
+    checks = {c["name"]: (c["expected"], c["observed"]) for c in out["checks"]}
+    assert checks == {"dijoin-switch": (3, 3), "dijoin-gap-equivalence": (True, True)}
+    # an exhausted budget on D2 is recorded once
+    out = _dijoin_pair_task(("3:101", gap, 5))
+    assert [e["instance"] for e in out["inconclusive"]] == ["3:101", gap]
 
 
 def test_transitive_first_operand_keeps_inv():

@@ -1,7 +1,8 @@
-"""Property tests for the per-vertex row representation of graphs.
+"""Property tests for the per-vertex row representation of graphs and the search kernels.
 
 Graphs are generated as arc lists; every operation is compared with the
-arc-list oracles in oracles.py, which never read the library's rows.
+arc-list oracles in oracles.py, which never read the library's rows.  The
+search's candidate sets are compared with the per-vector placement rule.
 """
 
 from hypothesis import given, settings
@@ -20,7 +21,15 @@ from invlab import (
     reverse,
 )
 from invlab.decycling import apply_matrix
-from oracles import arcs_apply_matrix, arcs_dijoin, arcs_induced, arcs_invert, arcs_reverse
+from invlab.search import _lex_allowed, _parity_sets, _placements
+from oracles import (
+    arcs_apply_matrix,
+    arcs_dijoin,
+    arcs_induced,
+    arcs_invert,
+    arcs_reverse,
+    place_position,
+)
 
 MAX_N = 12
 
@@ -123,3 +132,44 @@ def test_induced_and_reverse_match_oracle(graph, data):
     rev = reverse(D)
     check_rows(rev)
     assert set(rev.arcs()) == arcs_reverse(arcs)
+
+
+def members(bitset: int, m: int) -> set[int]:
+    return {x for x in range(1 << m) if (bitset >> x) & 1}
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_placements_match_per_vector_rule(data):
+    m = data.draw(st.integers(0, 5))
+    k = data.draw(st.integers(0, 8))
+    vecs = data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=k, max_size=k))
+    order = data.draw(st.permutations(range(k)))
+    out_row = data.draw(st.integers(0, (1 << k) - 1))
+    par = _parity_sets(m)
+    valid, parts = _placements(out_row, order, [par[v] for v in vecs], (1 << (1 << m)) - 1)
+    assert len(parts) == k + 1
+    want = {x: place_position(order, vecs, out_row, x) for x in range(1 << m)}
+    assert members(valid, m) == {x for x, pos in want.items() if pos is not None}
+    for p, part in enumerate(parts):
+        assert members(part, m) == {x for x, pos in want.items() if pos == p}
+
+
+def test_lex_allowed_all_tied_is_the_sorted_first_rows():
+    for m in range(9):
+        all_tied = (1 << max(m - 1, 0)) - 1
+        assert members(_lex_allowed(m, all_tied), m) == {(1 << a) - 1 for a in range(m + 1)}
+
+
+@settings(deadline=None)
+@given(st.integers(0, 7).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(0, (1 << max(m - 1, 0)) - 1))))
+def test_lex_allowed_is_the_column_swap_rule(m_tie):
+    # allowed iff no tied pair (j, j+1) reads x_j = 0, x_{j+1} = 1, the rows
+    # a column swap would make lexicographically smaller
+    m, tie = m_tie
+    swappable = {
+        x for x in range(1 << m)
+        if any((tie >> j) & 1 and not (x >> j) & 1 and (x >> (j + 1)) & 1 for j in range(m - 1))
+    }
+    assert members(_lex_allowed(m, tie), m) == set(range(1 << m)) - swappable

@@ -1,3 +1,7 @@
+import json
+import random
+from pathlib import Path
+
 import pytest
 
 from invlab import (
@@ -16,7 +20,10 @@ from invlab import (
     solve_tmr,
     verify_certificate,
 )
+from invlab.digraph import pair_count
 from oracles import all_oriented_graphs, naive_inv
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 C3 = decode("3:101")
 
@@ -197,3 +204,31 @@ def test_budget_validation():
         SearchBudget(max_m=-1)
     with pytest.raises(ValueError):
         SearchBudget(node_limit=-1)
+
+
+@pytest.mark.parametrize("key", ["classes7", "t10", "t11", "ladder11", "o11"])
+def test_values_match_recorded_expected(key):
+    # perfbench/expected.json holds values recorded by an earlier solver; a
+    # new search method must reproduce them, and every certificate replays
+    table = json.loads(EXPECTED.read_text())
+    entries = table["classes7"] if key == "classes7" else table["solve"][key]
+    assert entries
+    for e in entries:
+        D = decode(e["graph"])
+        inv = solve_inv(D)
+        assert inv.value == e["inv"], e["graph"]
+        assert verify_certificate(D, inv.certificate)
+        if "tmr" in e:
+            tmr = solve_tmr(D)
+            assert (tmr.value, tmr.min_rank_nonzero_diag) == (e["tmr"], e["nonzero_diag"])
+            assert verify_certificate(D, tmr.certificate)
+        if "holds" in e:
+            assert check_trichotomy(D).holds == e["holds"]
+
+
+def test_seeded_n12_tournament_inv():
+    n = 12
+    T = Tournament(n, random.Random(n).getrandbits(pair_count(n)))
+    res = solve_inv(T)
+    assert res.value == 5
+    assert verify_certificate(T, res.certificate)
