@@ -10,8 +10,7 @@ operation.
 
 Pair-index bits, one bit per unordered pair {i, j} with i < j in
 lexicographic order, exist only in the text codec: `decode`, `encode`,
-`Tournament(n, bits)` and `pair_bits`, whose bit string the canonical form
-minimises.
+`Tournament(n, bits)` and `pair_bits`.
 
 Values are immutable after construction and safe to share across workers.
 """
@@ -31,13 +30,6 @@ class ParseError(ValueError):
 
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
-
-
-def pair_index(i: int, j: int, n: int) -> int:
-    """Lexicographic index of pair {i, j} among (0,1),(0,2),...,(n-2,n-1)."""
-    if i > j:
-        i, j = j, i
-    return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,19 @@
 """Small-tournament enumeration, theorem verification, and conjecture scans.
 
-Isomorphism reduction is brute-force permutation minimisation of the
-orientation bit string (n! is at most 5040 at the supported sizes), chosen
-for auditability; the permutation tables are vectorised with numpy so a
-canonical form costs one gather and one argmin.
+The canonical form of a tournament is its least "n:bits" encoding over all
+vertex relabellings.  It is found by individualisation-refinement on the
+out rows without automorphism pruning (McKay and Piperno, "Practical graph
+isomorphism, II", J. Symb. Comput. 2014).  The vertices not yet placed
+form an ordered partition into cells.  Position i takes a vertex v of the
+first cell; v's row reads, cell by cell, a 0 for each member that beats v
+and then a 1 for each member v beats, and every cell splits into (beats v,
+beaten by v).  Only the choices of v that give the least row are kept,
+level by level, and choices that reach the same partition are merged.
+
+The search is exact.  Rows are compared in order, so the least string
+starts with the least row i given rows 0..i-1.  Once v sits at position i,
+any other order inside a cell gives a larger row i, so the split is forced,
+and only tied choices of v branch.
 
 Scan reports separate "asserted" outcomes (theorem-backed, violations are
 build-stopping) from "evidence" (conjecture probes, where a counterexample
@@ -21,8 +31,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
 from .constructions import extend_to_tournament
 from .decycling import is_decycling_matrix
 from .digraph import (
@@ -32,9 +40,7 @@ from .digraph import (
     encode,
     induced,
     njoin,
-    pair_bits,
     pair_count,
-    pair_index,
     transitive_tournament,
 )
 from .gf2 import MatGF2, SymMatGF2, _trusted_sym, full_rank_principal, schur_update
@@ -43,7 +49,7 @@ from .search import Inconclusive, SearchBudget, check_trichotomy, solve_inv, sol
 REPORT_SCHEMA = "invlab.scan-report/1"
 
 MAX_CANONICAL_N = 8
-MAX_ISO_N = 7
+MAX_ISO_N = 8
 
 _C3 = decode("3:101")
 
@@ -52,37 +58,51 @@ _C3 = decode("3:101")
 # canonical forms and enumeration
 
 
-@lru_cache(maxsize=None)
-def _perm_tables(n: int):
+def _canonical_int(out: Sequence[int]) -> int:
+    """Least packed string over all relabellings of the tournament with these out rows.
+
+    The packed string holds one bit per pair (0,1), (0,2), ..., (n-2,n-1),
+    most significant first, 1 meaning the lower label beats the higher.  A
+    state is an ordered partition of the unplaced vertices into cells; see
+    the module docstring for why keeping the least-row states is exact.
+    """
+    n = len(out)
+    value = 0
+    states = {((1 << n) - 1,)}
+    for width in range(n - 1, 0, -1):
+        best = 1 << width
+        survivors = set()
+        for cells in states:
+            first, rest = cells[0], cells[1:]
+            pick = first
+            while pick:
+                bit = pick & -pick
+                pick ^= bit
+                beaten = out[bit.bit_length() - 1]
+                row = 0
+                refined = []
+                for cell in (first ^ bit,) + rest:
+                    won = cell & beaten
+                    lost = cell ^ won
+                    row = (row << cell.bit_count()) | ((1 << won.bit_count()) - 1)
+                    if lost:
+                        refined.append(lost)
+                    if won:
+                        refined.append(won)
+                if row < best:
+                    best = row
+                    survivors = {tuple(refined)}
+                elif row == best:
+                    survivors.add(tuple(refined))
+        value = (value << width) | best
+        states = survivors
+    return value
+
+
+def _packed_text(n: int, value: int) -> str:
+    """The "n:bits" encoding of a packed string: its bits, read from the top, in pair order."""
     m = pair_count(n)
-    perms = list(itertools.permutations(range(n)))
-    src = np.zeros((len(perms), m), dtype=np.int32)
-    flip = np.zeros((len(perms), m), dtype=np.uint8)
-    for pi, sigma in enumerate(perms):
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = sigma[i], sigma[j]
-                q = pair_index(a, b, n)
-                src[pi, q] = pair_index(i, j, n)
-                flip[pi, q] = 1 if a > b else 0
-    weights = np.array([1 << (m - 1 - k) for k in range(m)], dtype=np.uint64)
-    return src, flip, weights
-
-
-def _canonical_int(n: int, orient: int) -> int:
-    """Smallest packed bit string over all vertex relabelings (MSB = pair (0,1))."""
-    m = pair_count(n)
-    if m == 0:
-        return 0
-    src, flip, weights = _perm_tables(n)
-    bits = np.fromiter(((orient >> k) & 1 for k in range(m)), dtype=np.uint8, count=m)
-    images = bits[src] ^ flip
-    return int((images.astype(np.uint64) @ weights).min())
-
-
-def _orient_from_canonical(n: int, value: int) -> int:
-    m = pair_count(n)
-    return sum(((value >> (m - 1 - k)) & 1) << k for k in range(m))
+    return f"{n}:{value:0{m}b}" if m else f"{n}:"
 
 
 def canonical_form(T: Tournament) -> str:
@@ -91,37 +111,36 @@ def canonical_form(T: Tournament) -> str:
         raise TypeError("canonical_form is defined for tournaments")
     if T.n > MAX_CANONICAL_N:
         raise ValueError(f"canonical_form supports n <= {MAX_CANONICAL_N}")
-    value = _canonical_int(T.n, pair_bits(T))
-    return encode(Tournament(T.n, _orient_from_canonical(T.n, value)))
+    return _packed_text(T.n, _canonical_int(T.out))
 
 
 @lru_cache(maxsize=None)
 def _iso_class_ints(n: int) -> tuple[int, ...]:
+    """Packed canonical strings of the classes on n vertices, in increasing order.
+
+    Every class on n vertices is a class on n-1 vertices plus a vertex n-1
+    with one of the 2^(n-1) out-patterns.
+    """
+    if n > MAX_ISO_N:
+        raise ValueError(f"isomorphism-reduced enumeration supports n <= {MAX_ISO_N}")
     if n <= 1:
         return (0,)
-    prev = _iso_class_ints(n - 1)
+    top = 1 << (n - 1)
     seen = set()
-    for canon in prev:
-        base = _orient_from_canonical(n - 1, canon)
-        lifted = 0
-        for i in range(n - 1):
-            for j in range(i + 1, n - 1):
-                lifted |= ((base >> pair_index(i, j, n - 1)) & 1) << pair_index(i, j, n)
-        for new_bits in range(1 << (n - 1)):
-            orient = lifted
-            for j in range(n - 1):
-                orient |= ((new_bits >> j) & 1) << pair_index(j, n - 1, n)
-            seen.add(_canonical_int(n, orient))
+    for canon in _iso_class_ints(n - 1):
+        base = decode(_packed_text(n - 1, canon)).out
+        for pattern in range(top):
+            rows = [r if (pattern >> j) & 1 else r | top for j, r in enumerate(base)]
+            rows.append(pattern)
+            seen.add(_canonical_int(rows))
     return tuple(sorted(seen))
 
 
 def enumerate_tournaments(n: int, up_to_iso: bool = True) -> Iterator[Tournament]:
     """All tournaments on n vertices, one per isomorphism class by default."""
     if up_to_iso:
-        if n > MAX_ISO_N:
-            raise ValueError(f"isomorphism-reduced enumeration supports n <= {MAX_ISO_N}")
         for canon in _iso_class_ints(n):
-            yield Tournament(n, _orient_from_canonical(n, canon))
+            yield decode(_packed_text(n, canon))
         return
     if n > MAX_CANONICAL_N:
         raise ValueError(f"labeled enumeration supports n <= {MAX_CANONICAL_N}")
@@ -130,7 +149,7 @@ def enumerate_tournaments(n: int, up_to_iso: bool = True) -> Iterator[Tournament
 
 
 def _class_encodings(n: int) -> list[str]:
-    return [encode(t) for t in enumerate_tournaments(n, up_to_iso=True)]
+    return [_packed_text(n, canon) for canon in _iso_class_ints(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +521,8 @@ def _inv_bound_pair_task(args) -> dict:
     out = {"pair": [enc1, enc2], "inconclusive": []}
     joined = encode(dijoin(decode(enc1), decode(enc2)))
     try:
-        out["inv1"] = _inv_value(enc1, node_limit)
-        out["inv2"] = _inv_value(enc2, node_limit)
-        out["tmr1"] = _tmr_result(enc1, node_limit)[0]
-        out["tmr2"] = _tmr_result(enc2, node_limit)[0]
+        out["tmr1"], _, out["inv1"] = _tmr_result(enc1, node_limit)
+        out["tmr2"], _, out["inv2"] = _tmr_result(enc2, node_limit)
         out["inv_dijoin"] = _inv_value(joined, node_limit)
     except Inconclusive as exc:
         out["inconclusive"].append({"instance": [enc1, enc2], "reason": exc.reason})

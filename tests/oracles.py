@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the library's elimination and search
 code paths: ranks come from kernel counting, acyclicity from a plain
-recursive cycle hunt, and inversion numbers from direct enumeration of
-subset families.
+recursive cycle hunt, inversion numbers from direct enumeration of
+subset families, and canonical forms from trying every relabelling.
 """
 
 from __future__ import annotations
@@ -133,6 +133,22 @@ def arcs_induced(arcs, vertices):
     """Arcs with both ends in `vertices`, renumbered by rank in sorted order."""
     rank = {v: k for k, v in enumerate(sorted(set(vertices)))}
     return {(rank[u], rank[v]) for u, v in arcs if u in rank and v in rank}
+
+
+def brute_canonical(n, arcs):
+    """Least "n:bits" text over all n! relabellings of a tournament's arc list.
+
+    Bit k of the text is the k-th pair (i, j), i < j, in lexicographic order,
+    '1' meaning i -> j after relabelling.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    best = None
+    for sigma in itertools.permutations(range(n)):
+        moved = {(sigma[u], sigma[v]) for u, v in arcs}
+        bits = "".join("1" if p in moved else "0" for p in pairs)
+        if best is None or bits < best:
+            best = bits
+    return f"{n}:{best}"
 
 
 def place_position(order, vecs, out_row, x):

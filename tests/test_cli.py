@@ -148,7 +148,7 @@ def test_usage_errors_name_the_input():
     code, text = run_cli("tmr", "3;0>1")
     assert code == 2 and "not a tournament" in text
     code, text = run_cli("enumerate", "9", "--iso")
-    assert code == 2 and "n <= 7" in text
+    assert code == 2 and "n <= 8" in text
     code, text = run_cli("canonical", "3;0>1")
     assert code == 2
 

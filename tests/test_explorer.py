@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +26,9 @@ from invlab import (
     verify_dijoin_theorems,
     VertexFamily,
 )
+from invlab import explorer
 from invlab.explorer import _decycling_flips, _dijoin_pair_task, _tmr_result
+from oracles import brute_canonical
 
 C3 = decode("3:101")
 
@@ -53,13 +59,41 @@ def test_canonical_form_examples():
         canonical_form(decode("3;0>1"))
 
 
+def test_canonical_form_matches_brute_force_oracle():
+    for n in range(6):
+        for T in enumerate_tournaments(n, up_to_iso=False):
+            assert canonical_form(T) == brute_canonical(n, T.arcs())
+    rng = random.Random(6)
+    for _ in range(40):
+        T = Tournament(6, rng.getrandbits(15))
+        assert canonical_form(T) == brute_canonical(6, T.arcs())
+
+
+def test_import_needs_no_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    plain = "import sys, invlab; assert 'numpy' not in sys.modules"
+    blocked = (
+        "import sys; sys.modules['numpy'] = None; import invlab; "
+        "print(invlab.canonical_form(invlab.decode('3:101')), "
+        "len(list(invlab.enumerate_tournaments(5))))"
+    )
+    for code in (plain, blocked):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["3:010", "12"]
+
+
 def test_enumeration_counts():
-    expected = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56}
+    # OEIS A000568
+    expected = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56, 7: 456, 8: 6880}
     for n, count in expected.items():
         assert len(list(enumerate_tournaments(n))) == count
     assert len(list(enumerate_tournaments(3, up_to_iso=False))) == 8
     with pytest.raises(ValueError):
-        list(enumerate_tournaments(8, up_to_iso=True))
+        list(enumerate_tournaments(9, up_to_iso=True))
 
 
 def test_enumeration_matches_dedup_oracle_n_le_5():
@@ -109,6 +143,26 @@ def test_scan_tmr_additivity_small():
     assert report.evidence["asserted_pairs"] > 0
     # evidence pairs at these sizes all come out additive
     assert report.evidence["evidence_equal"] == report.evidence["evidence_pairs"]
+
+
+def test_inv_bound_pair_task_searches_each_operand_once(monkeypatch):
+    # inv of each operand is read off its rank-pass search, so solve_inv sees
+    # only the dijoin
+    solved = []
+    real = explorer.solve_inv
+
+    def recording(D, budget=None):
+        solved.append(encode(D))
+        return real(D, budget)
+
+    monkeypatch.setattr(explorer, "solve_inv", recording)
+    explorer._inv_value.cache_clear()
+    explorer._tmr_result.cache_clear()
+    enc1, enc2 = "3:101", "5:1010110100"
+    out = explorer._inv_bound_pair_task((enc1, enc2, None))
+    assert out["inconclusive"] == []
+    assert (out["inv1"], out["inv2"]) == (real(decode(enc1)).value, real(decode(enc2)).value)
+    assert solved == [encode(dijoin(decode(enc1), decode(enc2)))]
 
 
 def test_scan_inv_lower_bound_small():

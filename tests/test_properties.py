@@ -2,7 +2,8 @@
 
 Graphs are generated as arc lists; every operation is compared with the
 arc-list oracles in oracles.py, which never read the library's rows.  The
-search's candidate sets are compared with the per-vector placement rule.
+search's candidate sets are compared with the per-vector placement rule,
+and canonical forms are checked for invariance under relabelling.
 """
 
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from invlab import (
     SymMatGF2,
     Tournament,
     VertexFamily,
+    canonical_form,
     decode,
     dijoin,
     encode,
@@ -132,6 +134,20 @@ def test_induced_and_reverse_match_oracle(graph, data):
     rev = reverse(D)
     check_rows(rev)
     assert set(rev.arcs()) == arcs_reverse(arcs)
+
+
+@settings(deadline=None)
+@given(arc_lists(max_n=8, tournament=True), st.data())
+def test_canonical_form_is_a_relabelling_invariant(graph, data):
+    n, arcs = graph
+    sigma = data.draw(st.permutations(range(n)))
+    form = canonical_form(OrientedGraph(n, arcs))
+    assert form == canonical_form(OrientedGraph(n, [(sigma[u], sigma[v]) for u, v in arcs]))
+    C = decode(form)
+    assert sorted(r.bit_count() for r in C.out) == sorted(
+        sum(u == v for u, _ in arcs) for v in range(n)
+    )
+    assert canonical_form(C) == form
 
 
 def members(bitset: int, m: int) -> set[int]:
