@@ -164,29 +164,12 @@ def _trusted_sym(n: int, rows: Iterable[int]) -> SymMatGF2:
 Matrix = Union[MatGF2, SymMatGF2]
 
 
-def _rank_rows(rows: Iterable[int], ncols: int) -> int:
-    work = list(rows)
-    r = 0
-    for c in range(ncols):
-        bit = 1 << c
-        piv = next((i for i in range(r, len(work)) if work[i] & bit), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        for i in range(len(work)):
-            if i != r and work[i] & bit:
-                work[i] ^= work[r]
-        r += 1
-        if r == len(work):
-            break
-    return r
-
-
 def rank(M: Matrix) -> int:
-    """Rank over GF(2) by Gaussian elimination."""
-    if isinstance(M, SymMatGF2):
-        return _rank_rows(M.rows, M.n)
-    return _rank_rows(M.rows, M.ncols)
+    """Rank over GF(2): the number of rows an echelon basis accepts."""
+    echelon: list[int] = []
+    for r in M.rows:
+        _echelon_insert(echelon, r)
+    return len(echelon)
 
 
 def gram(X: MatGF2) -> SymMatGF2:
@@ -322,20 +305,17 @@ def _principal_by_kernel_extension(A: SymMatGF2, k: int) -> tuple[int, ...]:
     return tuple(chosen)
 
 
-def _echelon_reduce(echelon: list[int], vec: int) -> int:
-    """vec reduced against an echelon basis (rows sorted by leading bit, descending)."""
+def _echelon_insert(echelon: list[int], vec: int) -> bool:
+    """Insert vec into an echelon basis in place; False if already dependent.
+
+    The basis rows are kept sorted by leading bit, descending.
+    """
     for e in echelon:
         if vec & (1 << (e.bit_length() - 1)):
             vec ^= e
-    return vec
-
-
-def _echelon_insert(echelon: list[int], vec: int) -> bool:
-    """Insert vec into an echelon basis in place; False if already dependent."""
-    v = _echelon_reduce(echelon, vec)
-    if v == 0:
+    if vec == 0:
         return False
-    echelon.append(v)
+    echelon.append(vec)
     echelon.sort(key=int.bit_length, reverse=True)
     return True
 

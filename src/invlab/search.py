@@ -28,14 +28,25 @@ assignment of the same rank.  So the rule cuts only subtrees that hold no
 solution lexicographically before the witness, the same witness comes back,
 and node counts (one per accepted placement) can only fall.
 
-One level loop (_levels) serves every solver.  It tries width k at levels
-k = 0, 1, 2, ... and, with the rank pass on, also a width-(k+1) pass
-restricted to assignments of rank at most k at even levels where width k
-failed; by the symmetric factorization the pair of passes is exhaustive over
-rank-k decycling matrices.  solve_inv runs the loop without the rank pass,
-solve_tmr with it, and check_trichotomy reads inv, tmr and both
-certificates off one run with it.  The search runs in the calling process;
-scans parallelise across instances instead.
+One level loop (_levels) serves every solver.  Level k tries width k under
+the dot product x.y.  With the rank pass on, an even level k > 0 where that
+fails runs a second width-k pass under the symplectic form
+x^T Omega y = x.swap(y), swap exchanging bits 2j and 2j+1: over GF(2) a
+symmetric matrix of rank r is congruent to I_r when some diagonal entry is
+1 and to Omega_r (r even) when the diagonal is zero (A. A. Albert, Trans.
+AMS 1938), so it is Y Y^T or Y Omega Y^T with Y of width r, and the two
+passes cover every decycling matrix of rank at most k.  The second pass is
+the same bitset search with odd[t] = P[swap(vecs[t])].  Its column rule
+keeps only ties inside a hyperbolic pair (columns 2j, 2j+1): swapping those
+two columns preserves Omega, so the lex-leader argument above holds, while
+swapping columns of different pairs does not.  A success is lifted to an
+ordinary width-(k+1) assignment with the same gram matrix through a fixed W
+with W W^T = Omega_k.  Only a gap instance (inv = tmr + 1) reaches a
+successful second pass, so only there does a witness come from it;
+elsewhere it is the first width-k dot-product success.  solve_inv runs the
+loop without the rank pass, solve_tmr with it, and check_trichotomy reads
+inv, tmr and both certificates off one run with it.  The search runs in the
+calling process; scans parallelise across instances instead.
 """
 
 from __future__ import annotations
@@ -60,7 +71,7 @@ from .digraph import (
     is_acyclic,
     topological_order,
 )
-from .gf2 import _echelon_reduce, rank
+from .gf2 import _trusted_sym, factor_symmetric, rank
 
 
 @dataclass(frozen=True)
@@ -178,33 +189,6 @@ def _lex_allowed(m: int, tie: int) -> int:
     return allowed
 
 
-class _RankCap:
-    """Tracks the rank of the assigned vectors against a cap."""
-
-    __slots__ = ("cap", "basis")
-
-    def __init__(self, cap: Optional[int]):
-        self.cap = cap
-        self.basis: list[int] = []
-
-    def push(self, x: int) -> Optional[int]:
-        """Admit x; returns a token for pop(), or None when the cap blocks it."""
-        if self.cap is None:
-            return 0
-        red = _echelon_reduce(self.basis, x)
-        if red == 0:
-            return 0
-        if len(self.basis) >= self.cap:
-            return None
-        self.basis.append(red)
-        self.basis.sort(key=int.bit_length, reverse=True)
-        return red
-
-    def pop(self, token: int):
-        if token:
-            self.basis.remove(token)
-
-
 def _slot_tables(D: OrientedGraph, slots: list[int]):
     """Out-neighbour and adjacency rows reindexed by assignment slot."""
     out_slots = [_relabel_row(D.out[v], slots) for v in slots]
@@ -217,11 +201,13 @@ def _level_search(
     m: int,
     *,
     counter: _Nodes,
-    rank_cap: Optional[int] = None,
+    symplectic: bool = False,
 ) -> Optional[tuple[int, ...]]:
     """Lexicographically first decycling width-m assignment, or None.
 
-    Vectors are indexed by assignment slot (see _assignment_order).
+    Vectors are indexed by assignment slot (see _assignment_order).  With
+    symplectic (tournaments, even m) an arc flips iff x.swap(y) is odd, the
+    form x^T Omega y of m/2 hyperbolic pairs, in place of x.y.
     """
     n = D.n
     if n == 0:
@@ -229,8 +215,8 @@ def _level_search(
     slots = _assignment_order(D)
     out_slots, pres = _slot_tables(D, slots)
     if D.is_tournament:
-        return _search_tournament(n, out_slots, m, counter=counter, rank_cap=rank_cap)
-    return _search_general(n, out_slots, pres, m, counter=counter, rank_cap=rank_cap)
+        return _search_tournament(n, out_slots, m, counter=counter, symplectic=symplectic)
+    return _search_general(n, out_slots, pres, m, counter=counter)
 
 
 def _placements(
@@ -267,13 +253,19 @@ def _placements(
     return valid, parts
 
 
-def _search_tournament(n, out_slots, m, *, counter, rank_cap):
+def _search_tournament(n, out_slots, m, *, counter, symplectic):
     full = (1 << (1 << m)) - 1
     par = _parity_sets(m)
+    all_tied = (1 << max(m - 1, 0)) - 1  # bit j: columns j, j+1 still equal
+    if symplectic:
+        # m even: par[v] becomes {x : x.swap(v) odd}, and a column swap
+        # preserves Omega only inside a hyperbolic pair (2j, 2j+1)
+        evens = ((1 << m) - 1) // 3  # bit 2j of every pair
+        par = [par[((v & evens) << 1) | ((v >> 1) & evens)] for v in range(1 << m)]
+        all_tied &= evens
     vecs = [0] * n
     odd = [0] * n  # odd[t] = par[vecs[t]]
     order: list[int] = []  # assigned slots, transitive order, winners first
-    cap = _RankCap(rank_cap)
 
     def dfs(i: int, tie: int) -> bool:
         if i == n:
@@ -284,9 +276,6 @@ def _search_tournament(n, out_slots, m, *, counter, rank_cap):
             low = valid & -valid
             valid ^= low
             x = low.bit_length() - 1
-            token = cap.push(x)
-            if token is None:
-                continue
             pos = 0
             while not parts[pos] & low:
                 pos += 1
@@ -297,18 +286,15 @@ def _search_tournament(n, out_slots, m, *, counter, rank_cap):
             if dfs(i + 1, tie & ~(x ^ (x >> 1))):
                 return True
             del order[pos]
-            cap.pop(token)
         return False
 
-    all_tied = (1 << max(m - 1, 0)) - 1  # bit j: columns j, j+1 still equal
     return tuple(vecs) if dfs(0, all_tied) else None
 
 
-def _search_general(n, out_slots, pres, m, *, counter, rank_cap):
+def _search_general(n, out_slots, pres, m, *, counter):
     vecs = [0] * n
     fout = [0] * n  # flipped out-masks among assigned slots
     assigned = 0
-    cap = _RankCap(rank_cap)
 
     def flipped_arcs(i: int, x: int) -> tuple[int, int]:
         io = ii = 0
@@ -354,12 +340,8 @@ def _search_general(n, out_slots, pres, m, *, counter, rank_cap):
             low = cands & -cands
             cands ^= low
             x = low.bit_length() - 1
-            token = cap.push(x)
-            if token is None:
-                continue
             io, ii = flipped_arcs(i, x)
             if not acyclic_with(i, io, ii):
-                cap.pop(token)
                 continue
             counter.tick()
             vecs[i] = x
@@ -379,7 +361,6 @@ def _search_general(n, out_slots, pres, m, *, counter, rank_cap):
                 rest &= rest - 1
                 fout[t] &= ~(1 << i)
             fout[i] = 0
-            cap.pop(token)
         return False
 
     all_tied = (1 << max(m - 1, 0)) - 1  # bit j: columns j, j+1 still equal
@@ -398,6 +379,26 @@ def _family_from_assignment(D: OrientedGraph, m: int, vecs: Sequence[int]) -> Ve
     return VertexFamily(D.n, tuple(sets))
 
 
+@lru_cache(maxsize=None)
+def _omega_factor(k: int) -> tuple[int, ...]:
+    """Rows of a fixed k x (k+1) matrix W with W W^T = Omega_k (k even, k > 0)."""
+    return factor_symmetric(_trusted_sym(k, [1 << (i ^ 1) for i in range(k)])).rows
+
+
+def _lift_symplectic(k: int, vecs: Sequence[int]) -> tuple[int, ...]:
+    """Each x mapped to xW: (xW).(yW) = x^T Omega_k y, so the lifted width-(k+1)
+    assignment has the gram matrix Y Omega_k Y^T of the symplectic one."""
+    W = _omega_factor(k)
+    lifted = []
+    for x in vecs:
+        y = 0
+        for b in range(k):
+            if (x >> b) & 1:
+                y ^= W[b]
+        lifted.append(y)
+    return tuple(lifted)
+
+
 def _max_useful_m(D: OrientedGraph) -> int:
     # flipping the 2-set {u, v} flips exactly the arc uv, so inv(D) never
     # exceeds the number of arcs
@@ -409,8 +410,9 @@ def _levels(
 ) -> tuple[int, int, tuple[int, ...]]:
     """The first level k with a decycling assignment: (k, its width, its vectors).
 
-    Every level tries width k; with rank_pass, even levels k > 0 where width
-    k fails also try width k+1 under rank cap k.
+    Every level tries width k under the dot product; with rank_pass, even
+    levels k > 0 where that fails also try width k under Omega_k, and a
+    success there is returned lifted to width k+1 (_lift_symplectic).
     """
     counter = _Nodes(budget.node_limit)
     hard_cap = _max_useful_m(D)
@@ -424,9 +426,9 @@ def _levels(
             if found is not None:
                 return k, k, found
             if rank_pass and k > 0 and k % 2 == 0:
-                found = _level_search(D, k + 1, counter=counter, rank_cap=k)
+                found = _level_search(D, k, counter=counter, symplectic=True)
                 if found is not None:
-                    return k, k + 1, found
+                    return k, k + 1, _lift_symplectic(k, found)
         except _NodeLimit:
             raise Inconclusive(
                 k, None, f"node limit {budget.node_limit} reached at level {k}"
@@ -529,11 +531,12 @@ def check_trichotomy(T: Tournament, budget: Optional[SearchBudget] = None) -> Tr
     _require_tournament(T)
     k, width, vecs = _levels(T, budget or SearchBudget(), rank_pass=True)
     # One run of the rank-pass loop answers both questions.  It tries width j
-    # at every level j <= k, the same passes solve_inv makes, so every width
-    # below the returned one failed: inv = k when width k succeeded, and
-    # inv = k+1 when only the rank-capped width-(k+1) pass did.  Either way the
-    # returned assignment is a minimum decycling family, and its gram matrix
-    # is a minimum-rank decycling matrix.
+    # under the dot product at every level j <= k, the same passes solve_inv
+    # makes, so every width below the returned one failed: inv = k when width
+    # k succeeded, and inv = k+1 when only the symplectic pass did, whose
+    # lifted assignment has k+1 columns.  Either way the returned assignment
+    # is a minimum decycling family, and its gram matrix is a minimum-rank
+    # decycling matrix.
     family = _family_from_assignment(T, width, vecs)
     inv_res = _inv_result(T, family)
     tmr_res = _tmr_result(T, k, family)

@@ -168,3 +168,94 @@ def place_position(order, vecs, out_row, x):
         elif first_win >= 0:
             return None
     return first_win if first_win >= 0 else len(order)
+
+
+def min_zero_diag_decycling_rank(n, arcs):
+    """Least GF(2) rank of a zero-diagonal matrix that decycles a tournament.
+
+    A zero-diagonal decycling matrix is fixed by the transitive order it
+    flips the tournament onto: its (u, v) entry is 1 iff the arc between u
+    and v disagrees with that order.  This tries all n! orders and ranks each
+    matrix by plain Gauss-Jordan elimination on bit rows.
+    """
+    best = n
+    for order in itertools.permutations(range(n)):
+        pos = {v: i for i, v in enumerate(order)}
+        rows = [0] * n
+        for u, v in arcs:
+            if pos[u] > pos[v]:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        r = 0
+        for c in range(n):
+            piv = next((i for i in range(r, n) if (rows[i] >> c) & 1), None)
+            if piv is None:
+                continue
+            rows[r], rows[piv] = rows[piv], rows[r]
+            for i in range(n):
+                if i != r and (rows[i] >> c) & 1:
+                    rows[i] ^= rows[r]
+            r += 1
+        best = min(best, r)
+    return best
+
+
+def lex_least_symplectic_assignment(n, arcs, slots, k):
+    """Lexicographically least width-k assignment under the form x^T Omega y.
+
+    Slot s holds vertex slots[s] and the s-th vector; Omega pairs coordinate
+    2j with 2j+1, and an arc flips iff the form of its endpoints' vectors is
+    1.  Plain depth-first search over all 2^k vectors per slot, in ascending
+    order, pruned when the flipped arcs among the assigned vertices close a
+    cycle, with no symmetry rule.  Returns the vectors by slot, or None.
+    """
+
+    def form(x, y):
+        return sum(
+            ((x >> (2 * j)) & 1) * ((y >> (2 * j + 1)) & 1)
+            + ((x >> (2 * j + 1)) & 1) * ((y >> (2 * j)) & 1)
+            for j in range(k // 2)
+        ) % 2
+
+    table = [[form(x, y) for y in range(1 << k)] for x in range(1 << k)]
+    slot_of = {v: s for s, v in enumerate(slots)}
+    arcs_by_slot = [[] for _ in range(n)]  # arcs to earlier slots, as slot pairs
+    for u, v in arcs:
+        su, sv = slot_of[u], slot_of[v]
+        arcs_by_slot[max(su, sv)].append((su, sv))
+
+    def acyclic(flipped, size):
+        indegree = [0] * size
+        for _, w in flipped:
+            indegree[w] += 1
+        stack = [v for v in range(size) if indegree[v] == 0]
+        removed = 0
+        while stack:
+            v = stack.pop()
+            removed += 1
+            for u, w in flipped:
+                if u == v:
+                    indegree[w] -= 1
+                    if indegree[w] == 0:
+                        stack.append(w)
+        return removed == size
+
+    vecs = []
+    flipped = []
+
+    def dfs(s):
+        if s == n:
+            return True
+        for x in range(1 << k):
+            vecs.append(x)
+            new = [
+                (b, a) if table[vecs[a]][vecs[b]] else (a, b) for a, b in arcs_by_slot[s]
+            ]
+            flipped.extend(new)
+            if acyclic(flipped, s + 1) and dfs(s + 1):
+                return True
+            del flipped[len(flipped) - len(new):]
+            vecs.pop()
+        return False
+
+    return tuple(vecs) if dfs(0) else None

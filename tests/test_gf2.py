@@ -94,10 +94,10 @@ def test_factor_round_trip_exhaustive_n_le_4():
                 assert X.ncols == k
 
 
-def test_factor_round_trip_random_n_le_12():
+def test_factor_round_trip_random_n_le_16():
     rng = random.Random(29)
     for _ in range(200):
-        n = rng.randrange(1, 13)
+        n = rng.randrange(1, 17)
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             rows[i][i] = rng.randrange(2)

@@ -3,24 +3,33 @@
 Graphs are generated as arc lists; every operation is compared with the
 arc-list oracles in oracles.py, which never read the library's rows.  The
 search's candidate sets are compared with the per-vector placement rule,
-and canonical forms are checked for invariance under relabelling.
+canonical forms are checked for invariance under relabelling, and solver
+certificates are checked to survive a JSON round trip and to reject
+tampering.
 """
+
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invlab import (
+    Certificate,
     OrientedGraph,
     SymMatGF2,
     Tournament,
     VertexFamily,
     canonical_form,
+    check_trichotomy,
     decode,
     dijoin,
     encode,
     induced,
     invert,
     reverse,
+    solve_inv,
+    solve_tmr,
+    verify_certificate,
 )
 from invlab.decycling import apply_matrix
 from invlab.search import _lex_allowed, _parity_sets, _placements
@@ -189,3 +198,27 @@ def test_lex_allowed_is_the_column_swap_rule(m_tie):
         if any((tie >> j) & 1 and not (x >> j) & 1 and (x >> (j + 1)) & 1 for j in range(m - 1))
     }
     assert members(_lex_allowed(m, tie), m) == set(range(1 << m)) - swappable
+
+
+@settings(deadline=None, max_examples=60)
+@given(arc_lists(max_n=9, tournament=True), st.data())
+def test_certificates_round_trip_json_and_reject_tampering(graph, data):
+    n, arcs = graph
+    T = OrientedGraph(n, arcs)
+    tri = check_trichotomy(T)
+    certs = [solve_inv(T).certificate, solve_tmr(T).certificate,
+             tri.inv_certificate, tri.tmr_certificate]
+    for cert in certs:
+        text = json.dumps(cert.to_json_dict())
+        back = Certificate.from_json_dict(json.loads(text))
+        assert back == cert
+        assert verify_certificate(T, back)
+        wrong = json.loads(text)
+        wrong["value"] = data.draw(st.integers(0, n + 1).filter(lambda v: v != cert.value))
+        assert not verify_certificate(T, Certificate.from_json_dict(wrong))
+        if n >= 2:
+            wrong = json.loads(text)
+            i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                      unique=True))
+            wrong["order"][i], wrong["order"][j] = wrong["order"][j], wrong["order"][i]
+            assert not verify_certificate(T, Certificate.from_json_dict(wrong))

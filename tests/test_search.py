@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -14,14 +15,32 @@ from invlab import (
     check_trichotomy,
     decode,
     dijoin,
+    encode,
     enumerate_tournaments,
+    family_to_matrix,
     is_decycling_family,
+    matrix_certificate,
+    rank,
     solve_inv,
     solve_tmr,
     verify_certificate,
 )
-from invlab.digraph import pair_count
-from oracles import all_oriented_graphs, naive_inv
+from invlab.digraph import OrientedGraph, pair_count
+from invlab.search import (
+    _assignment_order,
+    _family_from_assignment,
+    _level_search,
+    _lift_symplectic,
+    _Nodes,
+)
+from oracles import (
+    all_oriented_graphs,
+    arcs_apply_matrix,
+    dfs_acyclic,
+    lex_least_symplectic_assignment,
+    min_zero_diag_decycling_rank,
+    naive_inv,
+)
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
@@ -128,7 +147,7 @@ def test_check_trichotomy_matches_solve_inv_on_classes_n_le_7():
 
 def test_check_trichotomy_gap_instance():
     # no class with n <= 7 has inv > tmr; this one does, so inv comes from
-    # the rank-capped width-(tmr + 1) assignment
+    # the symplectic pass's assignment, lifted to width tmr + 1
     T = decode("10:010100000111011100001001111110010000111110100")
     r = check_trichotomy(T)
     assert (r.inv, r.tmr, r.min_rank_nonzero_diag) == (3, 2, False)
@@ -232,3 +251,64 @@ def test_seeded_n12_tournament_inv():
     res = solve_inv(T)
     assert res.value == 5
     assert verify_certificate(T, res.certificate)
+
+
+# three of the 280 classes with n = 8 and inv = tmr + 1 = 3
+GAP8 = (
+    "8:0000001000010000000100001111",
+    "8:0000001000010000000100010111",
+    "8:0000001000010000000101001101",
+)
+
+
+def test_symplectic_pass_against_zero_diag_rank_oracle():
+    # the width-k pass under Omega_k succeeds iff some zero-diagonal decycling
+    # matrix has rank <= k; the oracle ranks the flip matrix of every vertex
+    # order.  With the within-pair column rule it still returns the
+    # lexicographically least assignment, found by a search with no rule.  A
+    # lifted witness carries Y Omega Y^T as its gram matrix, which must be
+    # zero-diagonal, of rank <= k, and decycle T (checked on arcs)
+    graphs = [T for n in range(1, 7) for T in enumerate_tournaments(n)]
+    graphs += [decode(e) for e in GAP8]
+    seen = set()
+    for T in graphs:
+        best = min_zero_diag_decycling_rank(T.n, T.arcs())
+        seen.add(best)
+        for k in (2, 4):
+            found = _level_search(T, k, counter=_Nodes(), symplectic=True)
+            assert (found is not None) == (best <= k), (encode(T), k, best)
+            least = lex_least_symplectic_assignment(T.n, T.arcs(), _assignment_order(T), k)
+            assert found == least, (encode(T), k)
+            if found is None:
+                continue
+            M = family_to_matrix(_family_from_assignment(T, k + 1, _lift_symplectic(k, found)))
+            assert not any(M.diagonal()) and best <= rank(M) <= k
+            flipped = arcs_apply_matrix(T.arcs(), M.to_lists())
+            assert dfs_acyclic(OrientedGraph(T.n, sorted(flipped)))
+            assert verify_certificate(T, matrix_certificate(T, M))
+    assert seen == {0, 2, 4}
+
+
+# sha256 of the sorted "encoding inv tmr diag" rows of check_trichotomy over
+# the 6,880 classes with n = 8, recorded with a different second pass (width
+# k+1 under a rank cap of k), so the symplectic pass is checked against it
+N8_TRICHOTOMY_SHA256 = "ffb92be4414d6fb03768e4c2e85b436f62a18ffbb2ec9d2b9a13d045a27ae7d4"
+
+
+def test_check_trichotomy_n8_classes_regression():
+    rows, gaps = [], []
+    for T in enumerate_tournaments(8):
+        r = check_trichotomy(T)
+        rows.append(f"{r.encoding} {r.inv} {r.tmr} {int(r.min_rank_nonzero_diag)}")
+        if r.inv == r.tmr + 1:
+            gaps.append((T, r))
+    rows.sort()
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == N8_TRICHOTOMY_SHA256
+    assert len(gaps) == 280
+    for T, r in gaps:
+        assert r.inv == solve_inv(T).value
+        M = r.tmr_certificate.payload
+        assert not any(M.diagonal()) and rank(M) == r.tmr_certificate.value == r.inv - 1
+        assert r.inv_certificate.payload.m == r.inv_certificate.value == r.tmr + 1
+        assert verify_certificate(T, r.inv_certificate)
+        assert verify_certificate(T, r.tmr_certificate)
