@@ -16,12 +16,7 @@ from typing import Optional
 
 from .decycling import Certificate, certificate_error
 from .digraph import ParseError, VertexFamily, decode, dijoin, encode, njoin
-from .explorer import (
-    canonical_form,
-    enumerate_tournaments,
-    run_scan,
-    verify_dijoin_theorems,
-)
+from .explorer import canonical_form, enumerate_tournaments, run_scan
 from .search import Inconclusive, SearchBudget, solve_inv, solve_tmr
 from .constructions import extend_to_tournament
 
@@ -147,10 +142,8 @@ def _report_exit(report, args, out) -> int:
 
 
 def _cmd_verify_theorems(args, out) -> int:
-    report = verify_dijoin_theorems(
-        max_each=args.max_n,
-        node_limit=args.node_limit,
-        workers=args.workers,
+    report = run_scan(
+        "dijoin-theorems", workers=args.workers, max_each=args.max_n, node_limit=args.node_limit
     )
     return _report_exit(report, args, out)
 

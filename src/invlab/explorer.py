@@ -19,6 +19,13 @@ Scan reports separate "asserted" outcomes (theorem-backed, violations are
 build-stopping) from "evidence" (conjecture probes, where a counterexample
 is a discovery, not a failure), and every report replays exactly from its
 scope field.
+
+All four scans run through one driver, `_scan`.  A scan lists its jobs,
+(task, args) pairs over the tuples of tournament classes in its scope
+(`_class_tuples`), and a fold that turns the task results, in job order,
+into violations and evidence.  The driver runs the jobs in this process or
+in its one process pool, appends each result's inconclusive entries, and
+times the run.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .constructions import extend_to_tournament
 from .decycling import is_decycling_matrix
 from .digraph import (
     Tournament,
@@ -205,105 +211,96 @@ class ScanReport:
         return "\n".join(lines)
 
 
-def _budget(node_limit: Optional[int]) -> SearchBudget:
-    return SearchBudget(node_limit=node_limit)
-
-
 @lru_cache(maxsize=None)
 def _inv_value(enc: str, node_limit: Optional[int] = None) -> int:
-    return solve_inv(decode(enc), _budget(node_limit)).value
+    return solve_inv(decode(enc), SearchBudget(node_limit=node_limit)).value
 
 
 @lru_cache(maxsize=None)
 def _tmr_result(enc: str, node_limit: Optional[int] = None):
     """(tmr, min_rank_nonzero_diag, inv), all read off one rank-pass search."""
-    res = check_trichotomy(decode(enc), _budget(node_limit))
+    res = check_trichotomy(decode(enc), SearchBudget(node_limit=node_limit))
     return res.tmr, res.min_rank_nonzero_diag, res.inv
 
 
-def _map_ordered(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=8))
+# ---------------------------------------------------------------------------
+# the scan driver
+
+
+def _class_tuples(sizes_each: Sequence[range], max_total: Optional[int] = None):
+    """Tuples of class encodings, one class per position with its size drawn from sizes_each.
+
+    Size tuples come in lexicographic order, skipping those whose sum exceeds
+    max_total, and the classes of each size tuple in lexicographic order.
+    """
+    for sizes in itertools.product(*sizes_each):
+        if max_total is None or sum(sizes) <= max_total:
+            yield from itertools.product(*map(_class_encodings, sizes))
+
+
+def _check(name: str, instances: list, expected, observed) -> dict:
+    """One checked statement of a report; it is violated when expected != observed."""
+    return {"name": name, "instances": instances, "expected": expected, "observed": observed}
+
+
+def _run_job(job) -> dict:
+    task, args = job
+    return task(args)
+
+
+def _scan(scope: dict, jobs: list, workers: int, fold) -> ScanReport:
+    """Run (task, args) jobs in order and fold their result dicts into one report.
+
+    A report checks one instance per job unless fold counts otherwise.  fold
+    fills the violations and the evidence; every result's "inconclusive"
+    entries follow the evidence, in job order.
+    """
+    t0 = time.perf_counter()
+    if workers <= 1 or len(jobs) <= 1:
+        results = [_run_job(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_job, jobs, chunksize=8))
+    report = ScanReport(scope=scope, instances_checked=len(results))
+    fold(report, results)
+    report.evidence["inconclusive"] = [e for res in results for e in res["inconclusive"]]
+    report.elapsed = time.perf_counter() - t0
+    return report
 
 
 # ---------------------------------------------------------------------------
 # theorem verification
 
 
-@lru_cache(maxsize=None)
-def _as_tournament(enc: str, node_limit: Optional[int] = None) -> str:
-    """Tournament reduction: oriented operands extend without changing inv."""
-    D = decode(enc)
-    if D.is_tournament:
-        return enc
-    family = solve_inv(D, _budget(node_limit)).certificate.payload
-    return encode(extend_to_tournament(D, family))
-
-
 def _dijoin_pair_task(args) -> dict:
     enc1, enc2, node_limit = args
     out = {"pair": [enc1, enc2], "checks": [], "inconclusive": []}
 
-    def value(fn, enc, label):
+    def value(fn, enc):
         try:
             return fn(enc, node_limit)
         except Inconclusive as exc:
-            out["inconclusive"].append({"instance": label, "reason": exc.reason})
+            out["inconclusive"].append({"instance": enc, "reason": exc.reason})
             return None
 
-    try:
-        enc1 = _as_tournament(enc1, node_limit)
-        enc2 = _as_tournament(enc2, node_limit)
-    except Inconclusive as exc:
-        out["inconclusive"].append({"instance": out["pair"], "reason": exc.reason})
-        return out
-    d1, d2 = decode(enc1), decode(enc2)
-    j12 = encode(dijoin(d1, d2))
-    inv1 = value(_inv_value, enc1, enc1)
-    res2 = value(_tmr_result, enc2, enc2)
-    if inv1 is None or res2 is None:
+    inv1 = value(_inv_value, enc1)
+    res2 = value(_tmr_result, enc2)
+    if inv1 is None or res2 is None or inv1 > 2:
         return out
     t2, _, inv2 = res2
-    checks = out["checks"]
+    d1, d2 = decode(enc1), decode(enc2)
+    invj = value(_inv_value, encode(dijoin(d1, d2)))
+    invj_sw = value(_inv_value, encode(dijoin(d2, d1)))
+    if invj is None:
+        return out
+    pair, checks = out["pair"], out["checks"]
     if inv1 == 2:
-        invj = value(_inv_value, j12, j12)
-        if invj is not None:
-            checks.append(
-                {
-                    "name": "dijoin-inv-formula",
-                    "instances": [enc1, enc2],
-                    "expected": t2 + 2,
-                    "observed": invj,
-                }
-            )
-    if inv1 <= 2:
-        j21 = encode(dijoin(d2, d1))
-        invj = value(_inv_value, j12, j12)
-        invj_sw = value(_inv_value, j21, j21)
-        if invj is not None and invj_sw is not None:
-            checks.append(
-                {
-                    "name": "dijoin-switch",
-                    "instances": [enc1, enc2],
-                    "expected": invj,
-                    "observed": invj_sw,
-                }
-            )
-    if inv1 in (1, 2):
-        invj = value(_inv_value, j12, j12)
-        if invj is not None:
-            gap_claim = invj == (inv2 if inv1 == 1 else inv2 + 1)
-            tmr_claim = inv2 == t2 + 1
-            checks.append(
-                {
-                    "name": "dijoin-gap-equivalence",
-                    "instances": [enc1, enc2],
-                    "expected": tmr_claim,
-                    "observed": gap_claim,
-                }
-            )
+        checks.append(_check("dijoin-inv-formula", pair, t2 + 2, invj))
+    if invj_sw is not None:
+        checks.append(_check("dijoin-switch", pair, invj, invj_sw))
+    if inv1 >= 1:
+        gap_claim = invj == (inv2 if inv1 == 1 else inv2 + 1)
+        checks.append(_check("dijoin-gap-equivalence", pair, inv2 == t2 + 1, gap_claim))
     return out
 
 
@@ -311,50 +308,18 @@ def _triple_task(args) -> dict:
     enc1, enc2, enc3, node_limit = args
     out = {"triple": [enc1, enc2, enc3], "checks": [], "inconclusive": []}
     try:
-        enc1, enc2, enc3 = (_as_tournament(e, node_limit) for e in (enc1, enc2, enc3))
-    except Inconclusive as exc:
-        out["inconclusive"].append({"instance": out["triple"], "reason": exc.reason})
-        return out
-    d1, d2, d3 = decode(enc1), decode(enc2), decode(enc3)
-    try:
         inv1 = _inv_value(enc1, node_limit)
         inv2 = _inv_value(enc2, node_limit)
         if inv1 not in (1, 2) or inv2 not in (1, 2):
             return out
-        joined = encode(njoin([d1, d2, d3]))
-        tail = encode(dijoin(d2, d3))
-        observed = _inv_value(joined, node_limit)
-        expected = inv1 + _inv_value(tail, node_limit)
+        d1, d2, d3 = decode(enc1), decode(enc2), decode(enc3)
+        observed = _inv_value(encode(njoin([d1, d2, d3])), node_limit)
+        expected = inv1 + _inv_value(encode(dijoin(d2, d3)), node_limit)
     except Inconclusive as exc:
-        out["inconclusive"].append({"instance": [enc1, enc2, enc3], "reason": exc.reason})
+        out["inconclusive"].append({"instance": out["triple"], "reason": exc.reason})
         return out
-    out["checks"].append(
-        {
-            "name": "three-join-identity",
-            "instances": [enc1, enc2, enc3],
-            "expected": expected,
-            "observed": observed,
-        }
-    )
+    out["checks"].append(_check("three-join-identity", out["triple"], expected, observed))
     return out
-
-
-def _pairs_within(max_total: Optional[int], max_each: Optional[int]):
-    if max_total is None and max_each is None:
-        max_each = 3
-    biggest = max_total - 1 if max_total is not None else max_each
-    sizes = range(1, biggest + 1)
-    pairs = []
-    for n1 in sizes:
-        for n2 in sizes:
-            if max_total is not None and n1 + n2 > max_total:
-                continue
-            if max_each is not None and (n1 > max_each or n2 > max_each):
-                continue
-            for e1 in _class_encodings(n1):
-                for e2 in _class_encodings(n2):
-                    pairs.append((e1, e2))
-    return pairs
 
 
 def verify_dijoin_theorems(
@@ -375,7 +340,6 @@ def verify_dijoin_theorems(
     check is theorem-backed: violations are build-stopping, and budget
     exhaustion is recorded per instance, never silently skipped.
     """
-    t0 = time.perf_counter()
     if max_total is None and max_each is None:
         max_each = 3
     if triple_total is None:
@@ -387,31 +351,28 @@ def verify_dijoin_theorems(
         "triple_total": triple_total,
         "node_limit": node_limit,
     }
-    pair_items = [(e1, e2, node_limit) for e1, e2 in _pairs_within(max_total, max_each)]
-    triple_items = []
-    cap = max_each if max_each is not None else triple_total
-    for n1 in range(1, min(cap, triple_total - 2) + 1):
-        for n2 in range(1, min(cap, triple_total - n1 - 1) + 1):
-            for n3 in range(1, min(cap, triple_total - n1 - n2) + 1):
-                for e1 in _class_encodings(n1):
-                    for e2 in _class_encodings(n2):
-                        for e3 in _class_encodings(n3):
-                            triple_items.append((e1, e2, e3, node_limit))
-    report = ScanReport(scope=scope)
-    tallies: dict[str, int] = {}
-    inconclusive: list = []
-    for res in _map_ordered(_dijoin_pair_task, pair_items, workers) + _map_ordered(
-        _triple_task, triple_items, workers
-    ):
-        report.instances_checked += 1
-        inconclusive.extend(res["inconclusive"])
-        for chk in res["checks"]:
-            tallies[chk["name"]] = tallies.get(chk["name"], 0) + 1
-            if chk["expected"] != chk["observed"]:
-                report.violations.append(chk)
-    report.evidence = {"checks_run": tallies, "inconclusive": inconclusive}
-    report.elapsed = time.perf_counter() - t0
-    return report
+
+    def sizes(total: int) -> range:
+        return range(1, (max_each if max_each is not None else total) + 1)
+
+    jobs = [
+        (_dijoin_pair_task, (e1, e2, node_limit))
+        for e1, e2 in _class_tuples([sizes(max_total)] * 2, max_total)
+    ] + [
+        (_triple_task, (e1, e2, e3, node_limit))
+        for e1, e2, e3 in _class_tuples([sizes(triple_total)] * 3, triple_total)
+    ]
+
+    def fold(report, results):
+        tallies: dict[str, int] = {}
+        for res in results:
+            for chk in res["checks"]:
+                tallies[chk["name"]] = tallies.get(chk["name"], 0) + 1
+                if chk["expected"] != chk["observed"]:
+                    report.violations.append(chk)
+        report.evidence = {"checks_run": tallies}
+
+    return _scan(scope, jobs, workers, fold)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +408,6 @@ def scan_tmr_additivity(
     strict inequality is emitted as a replayable counterexample carrying the
     dijoin's minimum-rank certificate.
     """
-    t0 = time.perf_counter()
     scope = {
         "scan": "tmr-additivity",
         "n1": n1,
@@ -455,61 +415,50 @@ def scan_tmr_additivity(
         "max_total": max_total,
         "node_limit": node_limit,
     }
-    items = []
-    for s1 in range(1, n1 + 1):
-        for s2 in range(1, n2 + 1):
-            if max_total is not None and s1 + s2 > max_total:
+    jobs = [
+        (_tmr_pair_task, (e1, e2, node_limit))
+        for e1, e2 in _class_tuples([range(1, n1 + 1), range(1, n2 + 1)], max_total)
+    ]
+
+    def fold(report, results):
+        asserted = evidence_pairs = equal = 0
+        counterexamples = []
+        for res in results:
+            if "tmr1" not in res:
                 continue
-            for e1 in _class_encodings(s1):
-                for e2 in _class_encodings(s2):
-                    items.append((e1, e2, node_limit))
-    report = ScanReport(scope=scope)
-    asserted = evidence_pairs = equal = 0
-    counterexamples = []
-    inconclusive: list = []
-    for res in _map_ordered(_tmr_pair_task, items, workers):
-        report.instances_checked += 1
-        inconclusive.extend(res["inconclusive"])
-        if "tmr1" not in res:
-            continue
-        t1, t2, tj = res["tmr1"], res["tmr2"], res["tmr_dijoin"]
-        additive = tj == t1 + t2
-        if t1 in (1, 2):
-            asserted += 1
-            if not additive:
-                report.violations.append(
-                    {
-                        "name": "tmr-additivity-asserted",
-                        "instances": res["pair"],
-                        "expected": t1 + t2,
-                        "observed": tj,
-                    }
-                )
-        else:
-            evidence_pairs += 1
-            if additive:
-                equal += 1
+            t1, t2, tj = res["tmr1"], res["tmr2"], res["tmr_dijoin"]
+            additive = tj == t1 + t2
+            if t1 in (1, 2):
+                asserted += 1
+                if not additive:
+                    report.violations.append(
+                        _check("tmr-additivity-asserted", res["pair"], t1 + t2, tj)
+                    )
             else:
-                cert = solve_tmr(decode(res["dijoin"]), _budget(node_limit)).certificate
-                counterexamples.append(
-                    {
-                        "d1": res["pair"][0],
-                        "d2": res["pair"][1],
-                        "tmr1": t1,
-                        "tmr2": t2,
-                        "tmr_dijoin": tj,
-                        "dijoin_certificate": cert.to_json_dict(),
-                    }
-                )
-    report.evidence = {
-        "asserted_pairs": asserted,
-        "evidence_pairs": evidence_pairs,
-        "evidence_equal": equal,
-        "counterexamples": counterexamples,
-        "inconclusive": inconclusive,
-    }
-    report.elapsed = time.perf_counter() - t0
-    return report
+                evidence_pairs += 1
+                if additive:
+                    equal += 1
+                else:
+                    budget = SearchBudget(node_limit=node_limit)
+                    cert = solve_tmr(decode(res["dijoin"]), budget).certificate
+                    counterexamples.append(
+                        {
+                            "d1": res["pair"][0],
+                            "d2": res["pair"][1],
+                            "tmr1": t1,
+                            "tmr2": t2,
+                            "tmr_dijoin": tj,
+                            "dijoin_certificate": cert.to_json_dict(),
+                        }
+                    )
+        report.evidence = {
+            "asserted_pairs": asserted,
+            "evidence_pairs": evidence_pairs,
+            "evidence_equal": equal,
+            "counterexamples": counterexamples,
+        }
+
+    return _scan(scope, jobs, workers, fold)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +492,6 @@ def scan_inv_lower_bound(
     conjectured condition inv(Di) = tmr(Di) + 1 for some i, without
     asserting the conjecture.
     """
-    t0 = time.perf_counter()
     scope = {
         "scan": "inv-lower-bound",
         "n1": n1,
@@ -551,54 +499,39 @@ def scan_inv_lower_bound(
         "max_total": max_total,
         "node_limit": node_limit,
     }
-    items = []
-    for s1 in range(1, n1 + 1):
-        for s2 in range(1, n2 + 1):
-            if max_total is not None and s1 + s2 > max_total:
+    jobs = [
+        (_inv_bound_pair_task, (e1, e2, node_limit))
+        for e1, e2 in _class_tuples([range(1, n1 + 1), range(1, n2 + 1)], max_total)
+    ]
+
+    def fold(report, results):
+        cells = {
+            "equality_and_condition": 0,
+            "equality_no_condition": 0,
+            "strict_and_condition": 0,
+            "strict_no_condition": 0,
+        }
+        bound_failures = []
+        for res in results:
+            if "inv_dijoin" not in res:
                 continue
-            for e1 in _class_encodings(s1):
-                for e2 in _class_encodings(s2):
-                    items.append((e1, e2, node_limit))
-    report = ScanReport(scope=scope)
-    cells = {
-        "equality_and_condition": 0,
-        "equality_no_condition": 0,
-        "strict_and_condition": 0,
-        "strict_no_condition": 0,
-    }
-    bound_failures = []
-    inconclusive: list = []
-    for res in _map_ordered(_inv_bound_pair_task, items, workers):
-        report.instances_checked += 1
-        inconclusive.extend(res["inconclusive"])
-        if "inv_dijoin" not in res:
-            continue
-        lo = res["inv1"] + res["inv2"] - 1
-        observed = res["inv_dijoin"]
-        if observed < lo:
-            entry = {
-                "name": "inv-lower-bound",
-                "instances": res["pair"],
-                "expected": f">= {lo}",
-                "observed": observed,
-            }
-            if res["inv1"] == 2:
-                report.violations.append(entry)  # theorem-backed here
-            else:
-                bound_failures.append(entry)  # conjecture counterexample
-            continue
-        condition = (res["inv1"] == res["tmr1"] + 1) or (res["inv2"] == res["tmr2"] + 1)
-        key = ("equality" if observed == lo else "strict") + (
-            "_and_condition" if condition else "_no_condition"
-        )
-        cells[key] += 1
-    report.evidence = {
-        "equality_cells": cells,
-        "bound_counterexamples": bound_failures,
-        "inconclusive": inconclusive,
-    }
-    report.elapsed = time.perf_counter() - t0
-    return report
+            lo = res["inv1"] + res["inv2"] - 1
+            observed = res["inv_dijoin"]
+            if observed < lo:
+                entry = _check("inv-lower-bound", res["pair"], f">= {lo}", observed)
+                if res["inv1"] == 2:
+                    report.violations.append(entry)  # theorem-backed here
+                else:
+                    bound_failures.append(entry)  # conjecture counterexample
+                continue
+            condition = (res["inv1"] == res["tmr1"] + 1) or (res["inv2"] == res["tmr2"] + 1)
+            key = ("equality" if observed == lo else "strict") + (
+                "_and_condition" if condition else "_no_condition"
+            )
+            cells[key] += 1
+        report.evidence = {"equality_cells": cells, "bound_counterexamples": bound_failures}
+
+    return _scan(scope, jobs, workers, fold)
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +643,7 @@ def _decycling_flips(T: Tournament, order: Sequence[int]) -> tuple[int, ...]:
     return tuple(a ^ b for a, b in zip(T.out, transitive_tournament(order).out))
 
 
-def _schur_pair_task(args) -> list[tuple]:
+def _schur_pair_task(args) -> dict:
     enc1, enc2, samples, seed = args
     D1, D2 = decode(enc1), decode(enc2)
     J = dijoin(D1, D2)
@@ -739,10 +672,11 @@ def _schur_pair_task(args) -> list[tuple]:
         solve_tmr(D1).certificate.payload, solve_tmr(D2).certificate.payload
     )
     records.append(_schur_probe(D1, D2, J, optimal_blocks))
-    return [
+    records = [
         (rec.a_rank, rec.b_prime_decycles, rec.a_prime_decycles_c3, rec.a_prime_class)
         for rec in records
     ]
+    return {"pair": [enc1, enc2], "records": records, "inconclusive": []}
 
 
 def scan_schur_3x3(
@@ -766,69 +700,62 @@ def scan_schur_3x3(
     The converse direction needs n2_max >= 3, since a failure requires
     three occupied gaps in the final vertex order.
     """
-    t0 = time.perf_counter()
     scope = {
         "scan": "schur-3x3",
         "n2_max": n2_max,
         "samples": samples,
         "seed": seed,
     }
-    items = []
-    for e1 in _class_encodings(3):
-        for s2 in range(1, n2_max + 1):
-            for e2 in _class_encodings(s2):
-                items.append((e1, e2, samples, seed))
-    report = ScanReport(scope=scope)
-    per_class: dict[int, dict] = {}
-    rank_tally: dict[int, int] = {}
-    for item, records in zip(items, _map_ordered(_schur_pair_task, items, workers)):
-        for a_rank, b_ok, c3, key in records:
-            report.instances_checked += 1
-            rank_tally[a_rank] = rank_tally.get(a_rank, 0) + 1
-            if a_rank <= 2 and not b_ok:
-                report.violations.append(
-                    {
-                        "name": "schur-rank-le-2-must-hold",
-                        "instances": [item[0], item[1]],
-                        "expected": True,
-                        "observed": False,
-                    }
-                )
-            if a_rank == 3:
-                if not b_ok and not c3:
+    jobs = [
+        (_schur_pair_task, (e1, e2, samples, seed))
+        for e1 in _class_encodings(3)
+        for s2 in range(1, n2_max + 1)
+        for e2 in _class_encodings(s2)
+    ]
+
+    def fold(report, results):
+        per_class: dict[int, dict] = {}
+        rank_tally: dict[int, int] = {}
+        for res in results:
+            for a_rank, b_ok, c3, key in res["records"]:
+                rank_tally[a_rank] = rank_tally.get(a_rank, 0) + 1
+                if a_rank <= 2 and not b_ok:
                     report.violations.append(
-                        {
-                            "name": "schur-safe-direction",
-                            "instances": [item[0], item[1]],
-                            "expected": "failing B' implies A' decycles C3",
-                            "observed": f"A' class {key} fails without decycling C3",
-                        }
+                        _check("schur-rank-le-2-must-hold", res["pair"], True, False)
                     )
-                cell = per_class.setdefault(
-                    key, {"instances": 0, "failures": 0, "decycles_c3": c3}
-                )
-                cell["instances"] += 1
-                cell["failures"] += 0 if b_ok else 1
-    if samples is None and n2_max >= 3:
-        for key, cell in sorted(per_class.items()):
-            if (cell["failures"] > 0) != cell["decycles_c3"]:
-                report.violations.append(
-                    {
-                        "name": "schur-3x3-equivalence",
-                        "instances": [f"a-prime-class-{key}"],
-                        "expected": cell["decycles_c3"],
-                        "observed": cell["failures"] > 0,
-                    }
-                )
-    report.evidence = {
-        "a_rank_tally": {str(k): v for k, v in sorted(rank_tally.items())},
-        "class_tally": {
-            str(k): v for k, v in sorted(per_class.items())
-        },
-        "inconclusive": [],
-    }
-    report.elapsed = time.perf_counter() - t0
-    return report
+                if a_rank == 3:
+                    if not b_ok and not c3:
+                        report.violations.append(
+                            _check(
+                                "schur-safe-direction",
+                                res["pair"],
+                                "failing B' implies A' decycles C3",
+                                f"A' class {key} fails without decycling C3",
+                            )
+                        )
+                    cell = per_class.setdefault(
+                        key, {"instances": 0, "failures": 0, "decycles_c3": c3}
+                    )
+                    cell["instances"] += 1
+                    cell["failures"] += 0 if b_ok else 1
+        report.instances_checked = sum(rank_tally.values())
+        if samples is None and n2_max >= 3:
+            for key, cell in sorted(per_class.items()):
+                if (cell["failures"] > 0) != cell["decycles_c3"]:
+                    report.violations.append(
+                        _check(
+                            "schur-3x3-equivalence",
+                            [f"a-prime-class-{key}"],
+                            cell["decycles_c3"],
+                            cell["failures"] > 0,
+                        )
+                    )
+        report.evidence = {
+            "a_rank_tally": {str(k): v for k, v in sorted(rank_tally.items())},
+            "class_tally": {str(k): v for k, v in sorted(per_class.items())},
+        }
+
+    return _scan(scope, jobs, workers, fold)
 
 
 # ---------------------------------------------------------------------------

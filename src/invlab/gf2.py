@@ -132,9 +132,13 @@ class SymMatGF2:
     def principal(self, indices: Iterable[int]) -> "SymMatGF2":
         """Principal submatrix on the given (sorted ascending) indices."""
         idx = sorted(indices)
-        rows = [
-            sum(((self.rows[i] >> j) & 1) << c for c, j in enumerate(idx)) for i in idx
-        ]
+        rows = []
+        for i in idx:
+            r = self.rows[i]
+            row = 0
+            for c, j in enumerate(idx):
+                row |= ((r >> j) & 1) << c
+            rows.append(row)
         return _trusted_sym(len(idx), rows)
 
     def to_mat(self) -> MatGF2:
@@ -357,7 +361,7 @@ def inverse_full_rank(A: SymMatGF2) -> SymMatGF2:
         for i in range(n):
             if i != c and work[i] & bit:
                 work[i] ^= work[c]
-    return SymMatGF2(n, [r >> n for r in work])
+    return _trusted_sym(n, [r >> n for r in work])
 
 
 def schur_update(A_prime: SymMatGF2, C: MatGF2, B: SymMatGF2) -> SymMatGF2:
@@ -373,8 +377,7 @@ def schur_update(A_prime: SymMatGF2, C: MatGF2, B: SymMatGF2) -> SymMatGF2:
         raise ValueError(f"C has {C.ncols} columns but B is {B.n}x{B.n}")
     inv = inverse_full_rank(A_prime)
     update = C.transpose().mul(inv.to_mat()).mul(C)
-    rows = [b ^ u for b, u in zip(B.rows, update.rows)]
-    return SymMatGF2(B.n, rows)
+    return _trusted_sym(B.n, [b ^ u for b, u in zip(B.rows, update.rows)])
 
 
 def block_matrix(A: SymMatGF2, C: MatGF2, B: SymMatGF2) -> SymMatGF2:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -125,6 +126,33 @@ def test_dijoin_pair_task_reads_d2_off_one_search():
     assert [e["instance"] for e in out["inconclusive"]] == ["3:101", gap]
 
 
+def test_dijoin_pair_task_records_each_inconclusive_dijoin_once():
+    # three checks read inv(D1 -> D2); an exhausted budget on it is one entry
+    out = _dijoin_pair_task(("3:010", "4:001000", 30))
+    instances = [e["instance"] for e in out["inconclusive"]]
+    assert instances.count("7:011111011111111001000") == 1
+    assert len(instances) == len(set(instances))
+
+
+def test_scan_scopes_match_class_counts():
+    # one instance per tuple of classes; class counts from OEIS A000568
+    classes = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12}
+
+    def tuples(caps, total):
+        return sum(
+            math.prod(classes[s] for s in sizes)
+            for sizes in itertools.product(*(range(1, cap + 1) for cap in caps))
+            if sum(sizes) <= total
+        )
+
+    assert tuples([5, 5], 6) == 56 and tuples([4, 4, 4], 6) == 38
+    assert verify_dijoin_theorems(max_total=6).instances_checked == 56 + 38
+    report = verify_dijoin_theorems(max_total=7, max_each=3, triple_total=6)
+    assert report.instances_checked == tuples([3, 3], 7) + tuples([3, 3, 3], 6) == 42
+    assert scan_tmr_additivity(4, 4, max_total=6).instances_checked == tuples([4, 4], 6) == 32
+    assert scan_inv_lower_bound(5, 4).instances_checked == tuples([5, 4], 9) == 160
+
+
 def test_transitive_first_operand_keeps_inv():
     for n2 in range(1, 4):
         for d2 in enumerate_tournaments(n2):
@@ -246,7 +274,7 @@ def test_decycling_matrix_enumeration_is_complete_and_sound():
 def test_theorem_checks_reduce_oriented_operands_to_tournaments():
     from invlab.explorer import _dijoin_pair_task
 
-    # a non-tournament operand is extended (same inv) before the checks run
+    # the identities hold for oriented operands as given
     res = _dijoin_pair_task(("3;0>1,1>2", "3:101", None))
     assert res["inconclusive"] == []
     for chk in res["checks"]:
@@ -288,7 +316,7 @@ def test_schur_pair_task_enumerated_tallies():
         for n2 in range(1, 4):
             for e2 in _class_encodings(n2):
                 # the last two records per pair probe solver witnesses; skip them
-                tally.update(_schur_pair_task((e1, e2, 100, 0))[:-2])
+                tally.update(_schur_pair_task((e1, e2, 100, 0))["records"][:-2])
     # (a_rank, B' decycles, A' decycles C3, A' class) -> count, 100 samples x 8 pairs
     assert tally == {
         (0, True, None, None): 13,

@@ -187,6 +187,7 @@ def test_inverse_random_and_singular():
         found += 1
         inv = inverse_full_rank(A)
         assert A.to_mat().mul(inv.to_mat()) == MatGF2.identity(n)
+        assert SymMatGF2(n, inv.rows) == inv  # the validating constructor accepts it
 
 
 def test_schur_update_examples():
@@ -233,6 +234,7 @@ def test_schur_rank_identity_random():
         B = SymMatGF2.from_rows(b_rows)
         Bp = schur_update(Ap, C, B)
         assert rank(block_matrix(Ap, C, B)) == r + rank(Bp)
+        assert SymMatGF2(m, Bp.rows) == Bp  # the validating constructor accepts it
         done += 1
 
 
