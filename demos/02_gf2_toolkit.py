@@ -33,8 +33,8 @@ print("round trip ok:", gram(F) == H, "| rank of factor:", rank(F))
 ones = SymMatGF2.from_rows([[1, 1], [1, 1]])
 print("rank-1 block factors into width", factor_symmetric(ones).ncols)
 
-# Full-rank principal submatrices come from extending a kernel basis by
-# standard basis vectors; the chosen vectors name the rows to keep.
+# A maximal full-rank principal submatrix keeps the first row basis: the
+# rows, taken in order, that are independent of the rows kept before them.
 A = SymMatGF2.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
 S = full_rank_principal(A, "max")
 print("rank", rank(A), "principal indices:", S, "->", A.principal(S).to_lists())

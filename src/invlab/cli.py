@@ -176,15 +176,15 @@ def _cmd_scan(args, out) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON schemas verbatim")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled scans")
-    common.add_argument(
+    # the options of the commands that search; the others take none of them
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--json", action="store_true", help="emit JSON schemas verbatim")
+    search.add_argument(
         "--workers", type=int, default=1,
         help="process count for scan and verify-theorems; inv and tmr accept it"
         " and run one search in one process",
     )
-    common.add_argument("--node-limit", type=int, default=None, help="search node cap")
+    search.add_argument("--node-limit", type=int, default=None, help="search node cap")
 
     parser = argparse.ArgumentParser(
         prog="invlab",
@@ -192,47 +192,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("inv", parents=[common], help="inversion number of a graph")
+    p = sub.add_parser("inv", parents=[search], help="inversion number of a graph")
     p.add_argument("graph", help="graph text, or - to read one per stdin line")
     p.set_defaults(fn=_cmd_inv)
 
-    p = sub.add_parser("tmr", parents=[common], help="tournament minimum rank")
+    p = sub.add_parser("tmr", parents=[search], help="tournament minimum rank")
     p.add_argument("graph", help="tournament text, or - for stdin lines")
     p.set_defaults(fn=_cmd_tmr)
 
-    p = sub.add_parser("check", parents=[common], help="verify a certificate file")
+    p = sub.add_parser("check", help="verify a certificate file")
     p.add_argument("graph")
     p.add_argument("--cert", required=True, help="certificate JSON file")
     p.set_defaults(fn=_cmd_check)
 
-    p = sub.add_parser("dijoin", parents=[common], help="dijoin of two graphs")
+    p = sub.add_parser("dijoin", help="dijoin of two graphs")
     p.add_argument("g1")
     p.add_argument("g2")
     p.set_defaults(fn=_cmd_dijoin)
 
-    p = sub.add_parser("njoin", parents=[common], help="iterated dijoin")
+    p = sub.add_parser("njoin", help="iterated dijoin")
     p.add_argument("graphs", nargs="+")
     p.set_defaults(fn=_cmd_njoin)
 
-    p = sub.add_parser("extend", parents=[common], help="extend to a tournament with equal inv")
+    p = sub.add_parser("extend", help="extend to a tournament with equal inv")
     p.add_argument("graph")
     p.add_argument("--family", required=True, help="decycling family as JSON lists")
     p.set_defaults(fn=_cmd_extend)
 
-    p = sub.add_parser("enumerate", parents=[common], help="enumerate tournaments")
+    p = sub.add_parser("enumerate", help="enumerate tournaments")
     p.add_argument("n", type=int)
     p.add_argument("--iso", action="store_true", help="one per isomorphism class")
     p.set_defaults(fn=_cmd_enumerate)
 
-    p = sub.add_parser("canonical", parents=[common], help="canonical form of a tournament")
+    p = sub.add_parser("canonical", help="canonical form of a tournament")
     p.add_argument("graph")
     p.set_defaults(fn=_cmd_canonical)
 
-    p = sub.add_parser("verify-theorems", parents=[common], help="check the proven identities")
+    p = sub.add_parser("verify-theorems", parents=[search], help="check the proven identities")
     p.add_argument("--max-n", type=int, default=3, help="max operand size")
     p.set_defaults(fn=_cmd_verify_theorems)
 
-    p = sub.add_parser("scan", parents=[common], help="conjecture scans")
+    p = sub.add_parser("scan", parents=[search], help="conjecture scans")
     p.add_argument(
         "conjecture",
         choices=["tmr-additivity", "inv-lower-bound", "schur-3x3"],
@@ -240,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n1", type=int, default=None, help="max size of the first operand")
     p.add_argument("--n2", type=int, default=None, help="max size of the second operand")
     p.add_argument("--budget", type=int, default=None, help="node limit (or sample count)")
+    p.add_argument("--seed", type=int, default=0, help="seed for sampled scans")
     p.set_defaults(fn=_cmd_scan)
 
     return parser
@@ -254,7 +255,7 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args, out)
-    except (ParseError, FileNotFoundError, TypeError, ValueError) as exc:
+    except (ParseError, OSError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=out)
         return EXIT_USAGE
     except Inconclusive as exc:

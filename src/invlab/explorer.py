@@ -551,12 +551,13 @@ class SchurProbeRecord:
     a_prime_class: Optional[int]  # canonical 3x3 key under simultaneous permutation
 
 
-def _blocks(M: SymMatGF2, n1: int) -> tuple[SymMatGF2, MatGF2, SymMatGF2]:
+def _blocks(M: SymMatGF2, n1: int) -> tuple[SymMatGF2, list[int], SymMatGF2]:
+    """The blocks A and B of M, and the rows of its cross block C."""
     low = (1 << n1) - 1
     A = _trusted_sym(n1, [r & low for r in M.rows[:n1]])
-    C = MatGF2(n1, M.n - n1, [r >> n1 for r in M.rows[:n1]])
+    c_rows = [r >> n1 for r in M.rows[:n1]]
     B = _trusted_sym(M.n - n1, [r >> n1 for r in M.rows[n1:]])
-    return A, C, B
+    return A, c_rows, B
 
 
 _SYM3_PERMS = list(itertools.permutations(range(3)))
@@ -618,14 +619,14 @@ def _schur_probe(
     """schur_probe with J = dijoin(D1, D2) built by the caller and M of J's size."""
     if not is_decycling_matrix(J, M):
         raise ValueError("M is not a decycling matrix for the dijoin")
-    A, C, B = _blocks(M, D1.n)
+    A, c_rows, B = _blocks(M, D1.n)
     S, A_prime, induced_ok, c3, key = _a_block_facts(D1, A)
-    C_prime = MatGF2(len(S), C.ncols, [C.rows[i] for i in S])
+    C_prime = MatGF2(len(S), B.n, [c_rows[i] for i in S])
     B_prime = schur_update(A_prime, C_prime, B)
     return SchurProbeRecord(
         indices=S,
         a_rank=len(S),
-        cross_zero=not any(C.rows),
+        cross_zero=not any(c_rows),
         b_prime_decycles=is_decycling_matrix(D2, B_prime),
         a_prime_decycles_induced=induced_ok,
         a_prime_decycles_c3=c3,

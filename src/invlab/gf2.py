@@ -188,37 +188,6 @@ def gram(X: MatGF2) -> SymMatGF2:
     return _trusted_sym(X.nrows, rows)
 
 
-def kernel_basis(M: Matrix) -> list[int]:
-    """Basis of {x : Mx = 0}, each vector packed as an int over the columns."""
-    if isinstance(M, SymMatGF2):
-        rows, ncols = list(M.rows), M.n
-    else:
-        rows, ncols = list(M.rows), M.ncols
-    # reduced row echelon form, tracking pivot columns
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        bit = 1 << c
-        piv = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i] & bit:
-                rows[i] ^= rows[r]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = 1 << f
-        for rr, c in zip(rows, pivots):
-            if (rr >> f) & 1:
-                vec |= 1 << c
-        basis.append(vec)
-    return basis
-
-
 def factor_symmetric(A: SymMatGF2) -> MatGF2:
     """Factor a symmetric A as X X^T with X of rank k = rank(A) and minimal width.
 
@@ -230,17 +199,13 @@ def factor_symmetric(A: SymMatGF2) -> MatGF2:
     every factor row has even weight, so width k is impossible and k is even).
     """
     n = A.n
-    work = list(A.rows)
-
-    def column(j: int) -> int:
-        return sum(((work[i] >> j) & 1) << i for i in range(n))
-
+    work = list(A.rows)  # stays symmetric, so column j is work[j]
     singles: list[int] = []
     hblocks: list[tuple[int, int]] = []
     while any(work):
         i = next((i for i in range(n) if (work[i] >> i) & 1), None)
         if i is not None:
-            v = column(i)
+            v = work[i]
             for r in range(n):
                 if (v >> r) & 1:
                     work[r] ^= v
@@ -249,7 +214,7 @@ def factor_symmetric(A: SymMatGF2) -> MatGF2:
         i, j = next(
             (i, j) for i in range(n) for j in range(i + 1, n) if (work[i] >> j) & 1
         )
-        u, w = column(i), column(j)
+        u, w = work[i], work[j]
         for r in range(n):
             delta = 0
             if (u >> r) & 1:
@@ -278,13 +243,16 @@ def factor_symmetric(A: SymMatGF2) -> MatGF2:
 def full_rank_principal(A: SymMatGF2, target: int | str = "max") -> tuple[int, ...]:
     """Indices of a principal submatrix of rank `target` (or rank(A) for "max").
 
-    For the full-rank case the construction extends a kernel basis of A by
-    standard basis vectors, lexicographically smallest first; the chosen
-    standard vectors name the indices.  Smaller targets fall back to a
-    lexicographic depth-first search, since parity can make them infeasible
-    (every principal submatrix of an all-zero-diagonal matrix has even rank).
+    For the full-rank case these are the indices of the first row basis of
+    A, taken greedily in index order: if rows S span the row space of a
+    symmetric A, then A = A[:, S] Q gives A[S, :] = A[S, S] Q, so A[S, S] has
+    rank |S|.  Smaller targets fall back to a lexicographic depth-first
+    search, since parity can make them infeasible (every principal
+    submatrix of an all-zero-diagonal matrix has even rank).
     """
-    k = rank(A)
+    echelon: list[int] = []
+    basis = tuple(i for i, r in enumerate(A.rows) if _echelon_insert(echelon, r))
+    k = len(basis)
     if target == "max":
         target = k
     if not isinstance(target, int) or target < 0:
@@ -292,21 +260,8 @@ def full_rank_principal(A: SymMatGF2, target: int | str = "max") -> tuple[int, .
     if target > k:
         raise ValueError(f"infeasible: target rank {target} exceeds rank(A) = {k}")
     if target == k:
-        return _principal_by_kernel_extension(A, k)
+        return basis
     return _principal_by_search(A, target)
-
-
-def _principal_by_kernel_extension(A: SymMatGF2, k: int) -> tuple[int, ...]:
-    echelon: list[int] = []
-    for v in kernel_basis(A):
-        _echelon_insert(echelon, v)
-    chosen = []
-    for i in range(A.n):
-        if len(chosen) == k:
-            break
-        if _echelon_insert(echelon, 1 << i):
-            chosen.append(i)
-    return tuple(chosen)
 
 
 def _echelon_insert(echelon: list[int], vec: int) -> bool:
@@ -348,10 +303,10 @@ def _principal_by_search(A: SymMatGF2, target: int) -> tuple[int, ...]:
     return found
 
 
-def inverse_full_rank(A: SymMatGF2) -> SymMatGF2:
-    """Inverse of a full-rank symmetric matrix (Gauss-Jordan; symmetric again)."""
+def _solve(A: SymMatGF2, rhs: Iterable[int]) -> list[int]:
+    """Rows of A^{-1} R for a full-rank A and the rows of R (Gauss-Jordan on [A | R])."""
     n = A.n
-    work = [A.rows[i] | (1 << (n + i)) for i in range(n)]
+    work = [a | (r << n) for a, r in zip(A.rows, rhs)]
     for c in range(n):
         bit = 1 << c
         piv = next((i for i in range(c, n) if work[i] & bit), None)
@@ -361,7 +316,12 @@ def inverse_full_rank(A: SymMatGF2) -> SymMatGF2:
         for i in range(n):
             if i != c and work[i] & bit:
                 work[i] ^= work[c]
-    return _trusted_sym(n, [r >> n for r in work])
+    return [r >> n for r in work]
+
+
+def inverse_full_rank(A: SymMatGF2) -> SymMatGF2:
+    """Inverse of a full-rank symmetric matrix (symmetric again)."""
+    return _trusted_sym(A.n, _solve(A, [1 << i for i in range(A.n)]))
 
 
 def schur_update(A_prime: SymMatGF2, C: MatGF2, B: SymMatGF2) -> SymMatGF2:
@@ -375,9 +335,13 @@ def schur_update(A_prime: SymMatGF2, C: MatGF2, B: SymMatGF2) -> SymMatGF2:
         raise ValueError(f"C has {C.nrows} rows but A' is {A_prime.n}x{A_prime.n}")
     if C.ncols != B.n:
         raise ValueError(f"C has {C.ncols} columns but B is {B.n}x{B.n}")
-    inv = inverse_full_rank(A_prime)
-    update = C.transpose().mul(inv.to_mat()).mul(C)
-    return _trusted_sym(B.n, [b ^ u for b, u in zip(B.rows, update.rows)])
+    rows = list(B.rows)
+    # C^T X with X = A'^{-1} C: row i of X goes into row j wherever C[i][j] = 1
+    for c, x in zip(C.rows, _solve(A_prime, C.rows)):
+        while c:
+            rows[(c & -c).bit_length() - 1] ^= x
+            c &= c - 1
+    return _trusted_sym(B.n, rows)
 
 
 def block_matrix(A: SymMatGF2, C: MatGF2, B: SymMatGF2) -> SymMatGF2:

@@ -81,6 +81,11 @@ def test_check_malformed_certificate_names_the_field(tmp_path, cert, field):
     assert code == 2 and field in text
 
 
+def test_check_unreadable_certificate_is_a_usage_error(tmp_path):
+    code, text = run_cli("check", "3:101", "--cert", str(tmp_path))
+    assert code == 2 and text.startswith("error:") and str(tmp_path) in text
+
+
 def test_dijoin_njoin_commands():
     code, text = run_cli("dijoin", "3:101", "3:101")
     assert code == 0 and text.strip() == "6:101111111111101"
@@ -100,6 +105,13 @@ def test_enumerate_command():
     assert code == 0 and len(text.strip().splitlines()) == 2
     code, text = run_cli("enumerate", "3")
     assert len(text.strip().splitlines()) == 8
+
+
+def test_commands_take_only_the_options_they_read():
+    assert run_cli("enumerate", "3", "--json")[0] == 2
+    assert run_cli("canonical", "3:101", "--node-limit", "5")[0] == 2
+    assert run_cli("inv", "3:101", "--seed", "1")[0] == 2
+    assert run_cli("verify-theorems", "--seed", "1")[0] == 2
 
 
 def test_canonical_command():
