@@ -160,13 +160,13 @@ def _cmd_scan(args, out) -> int:
             params["samples"] = args.budget
         params["seed"] = args.seed
     else:
+        if args.budget is not None:
+            print("error: --budget is the sample count of scan schur-3x3;"
+                  " use --node-limit to cap the search nodes of this scan", file=out)
+            return EXIT_USAGE
         params["n1"] = args.n1 if args.n1 is not None else 3
         params["n2"] = args.n2 if args.n2 is not None else 3
-        if args.budget is not None and args.node_limit is not None:
-            print("error: --budget and --node-limit both set the node limit of this scan;"
-                  " give one", file=out)
-            return EXIT_USAGE
-        params["node_limit"] = args.node_limit if args.budget is None else args.budget
+        params["node_limit"] = args.node_limit
     try:
         report = run_scan(args.conjecture, workers=args.workers, **params)
     except ValueError as exc:
@@ -175,16 +175,29 @@ def _cmd_scan(args, out) -> int:
     return _report_exit(report, args, out)
 
 
+def _at_least(low: int):
+    """An argparse type: an int >= low, else a usage error naming the flag."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
+    count = _at_least(0)
     # the options of the commands that search; the others take none of them
     search = argparse.ArgumentParser(add_help=False)
     search.add_argument("--json", action="store_true", help="emit JSON schemas verbatim")
     search.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_at_least(1), default=1,
         help="process count for scan and verify-theorems; inv and tmr accept it"
         " and run one search in one process",
     )
-    search.add_argument("--node-limit", type=int, default=None, help="search node cap")
+    search.add_argument("--node-limit", type=count, default=None, help="search node cap")
 
     parser = argparse.ArgumentParser(
         prog="invlab",
@@ -229,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_canonical)
 
     p = sub.add_parser("verify-theorems", parents=[search], help="check the proven identities")
-    p.add_argument("--max-n", type=int, default=3, help="max operand size")
+    p.add_argument("--max-n", type=count, default=3, help="max operand size")
     p.set_defaults(fn=_cmd_verify_theorems)
 
     p = sub.add_parser("scan", parents=[search], help="conjecture scans")
@@ -237,9 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
         "conjecture",
         choices=["tmr-additivity", "inv-lower-bound", "schur-3x3"],
     )
-    p.add_argument("--n1", type=int, default=None, help="max size of the first operand")
-    p.add_argument("--n2", type=int, default=None, help="max size of the second operand")
-    p.add_argument("--budget", type=int, default=None, help="node limit (or sample count)")
+    p.add_argument("--n1", type=count, default=None, help="max size of the first operand")
+    p.add_argument("--n2", type=count, default=None, help="max size of the second operand")
+    p.add_argument("--budget", type=count, default=None, help="schur-3x3 sample count")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled scans")
     p.set_defaults(fn=_cmd_scan)
 

@@ -14,8 +14,12 @@ placed slot order are one transitive order, so the new slot's valid vectors
 are the union over insert positions p of "loses to the first p placed slots"
 and "beats the rest", built from the cached sets {x : x.v odd} with
 O(slots placed) big-int operations (_placements); the loop then walks only
-the valid x in ascending order.  Oriented graphs still test each x for an
-acyclic extension.
+the valid x in ascending order.  On other oriented graphs the search keeps
+below[t], the placed slots with a flipped path to t (t included), and
+beats[t], the x that orient {i, t} as i -> t for each placed neighbour t
+of the new slot i; x is invalid iff it lies in beats[t] and not in beats[s]
+for neighbours s, t with t in below[s].  This is exact: the placed slots
+are acyclic, so a new cycle must pass through i, as i -> t ->* s -> i.
 
 Column order (lex-leader symmetry breaking): permuting the m columns of an
 assignment keeps every dot product, hence the flipped graph, the gram matrix
@@ -82,12 +86,9 @@ class SearchBudget:
     bounds proved so far, never a wrong value.
     """
 
-    max_m: Optional[int] = None
     node_limit: Optional[int] = None
 
     def __post_init__(self):
-        if self.max_m is not None and self.max_m < 0:
-            raise ValueError("max_m must be nonnegative")
         if self.node_limit is not None and self.node_limit < 0:
             raise ValueError("node_limit must be nonnegative")
 
@@ -292,75 +293,47 @@ def _search_tournament(n, out_slots, m, *, counter, symplectic):
 
 
 def _search_general(n, out_slots, pres, m, *, counter):
+    full = (1 << (1 << m)) - 1
+    par = _parity_sets(m)
     vecs = [0] * n
-    fout = [0] * n  # flipped out-masks among assigned slots
-    assigned = 0
-
-    def flipped_arcs(i: int, x: int) -> tuple[int, int]:
-        io = ii = 0
-        rest = assigned & pres[i]
-        while rest:
-            t = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if ((out_slots[i] >> t) & 1) ^ ((x & vecs[t]).bit_count() & 1):
-                io |= 1 << t
-            else:
-                ii |= 1 << t
-        return io, ii
-
-    def acyclic_with(i: int, io: int, ii: int) -> bool:
-        # source elimination over assigned + i, with i's arcs supplied
-        remaining = assigned | (1 << i)
-        while remaining:
-            removed = False
-            scan = remaining
-            while scan:
-                v = (scan & -scan).bit_length() - 1
-                scan &= scan - 1
-                incoming = ii if v == i else (1 << i) if (io >> v) & 1 else 0
-                src = remaining & ~(1 << v) & ~(1 << i)
-                while src and not incoming & remaining:
-                    s = (src & -src).bit_length() - 1
-                    src &= src - 1
-                    if (fout[s] >> v) & 1:
-                        incoming |= 1 << s
-                if not incoming & remaining:
-                    remaining &= ~(1 << v)
-                    removed = True
-            if not removed:
-                return False
-        return True
+    below = [0] * n  # below[t]: assigned slots with a flipped path to t, t included
 
     def dfs(i: int, tie: int) -> bool:
-        nonlocal assigned
         if i == n:
             return True
-        cands = _lex_allowed(m, tie)
-        while cands:
-            low = cands & -cands
-            cands ^= low
+        # beats[t]: the x that orient {i, t} as i -> t after the flip
+        beats = {
+            t: par[vecs[t]] ^ (full if (out_slots[i] >> t) & 1 else 0)
+            for t in range(i) if (pres[i] >> t) & 1
+        }
+        # a new cycle runs i -> t ->* s -> i with t in below[s]
+        bad = 0
+        for s, bs in beats.items():
+            for t, bt in beats.items():
+                if (below[s] >> t) & 1:
+                    bad |= bt & ~bs
+        valid = _lex_allowed(m, tie) & ~bad
+        saved = below[:i]
+        while valid:
+            low = valid & -valid
+            valid ^= low
             x = low.bit_length() - 1
-            io, ii = flipped_arcs(i, x)
-            if not acyclic_with(i, io, ii):
-                continue
             counter.tick()
             vecs[i] = x
-            fout[i] = io
-            rest = ii
-            while rest:
-                t = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                fout[t] |= 1 << i
-            assigned |= 1 << i
+            wins = 0
+            mine = 1 << i
+            for t, bt in beats.items():
+                if bt & low:
+                    wins |= 1 << t
+                else:
+                    mine |= below[t]
+            below[i] = mine
+            for t in range(i):
+                if below[t] & wins:
+                    below[t] |= mine
             if dfs(i + 1, tie & ~(x ^ (x >> 1))):
                 return True
-            assigned &= ~(1 << i)
-            rest = ii
-            while rest:
-                t = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                fout[t] &= ~(1 << i)
-            fout[i] = 0
+            below[:i] = saved
         return False
 
     all_tied = (1 << max(m - 1, 0)) - 1  # bit j: columns j, j+1 still equal
@@ -416,11 +389,8 @@ def _levels(
     """
     counter = _Nodes(budget.node_limit)
     hard_cap = _max_useful_m(D)
-    cap_name = "rank cap" if rank_pass else "family size cap"
     k = 0
     while True:
-        if budget.max_m is not None and k > budget.max_m:
-            raise Inconclusive(k, None, f"{cap_name} {budget.max_m} reached")
         try:
             found = _level_search(D, k, counter=counter)
             if found is not None:

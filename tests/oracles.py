@@ -200,17 +200,20 @@ def min_zero_diag_decycling_rank(n, arcs):
     return best
 
 
-def lex_least_symplectic_assignment(n, arcs, slots, k):
-    """Lexicographically least width-k assignment under the form x^T Omega y.
+def lex_least_assignment(n, arcs, slots, k, symplectic=False):
+    """Lexicographically least decycling width-k assignment of an oriented graph.
 
-    Slot s holds vertex slots[s] and the s-th vector; Omega pairs coordinate
-    2j with 2j+1, and an arc flips iff the form of its endpoints' vectors is
-    1.  Plain depth-first search over all 2^k vectors per slot, in ascending
+    Slot s holds vertex slots[s] and the s-th vector, and an arc flips iff
+    the form of its endpoints' vectors is 1: the dot product x.y, or with
+    symplectic the form x^T Omega y, Omega pairing coordinate 2j with 2j+1.
+    Plain depth-first search over all 2^k vectors per slot, in ascending
     order, pruned when the flipped arcs among the assigned vertices close a
     cycle, with no symmetry rule.  Returns the vectors by slot, or None.
     """
 
     def form(x, y):
+        if not symplectic:
+            return sum(((x >> b) & 1) * ((y >> b) & 1) for b in range(k)) % 2
         return sum(
             ((x >> (2 * j)) & 1) * ((y >> (2 * j + 1)) & 1)
             + ((x >> (2 * j + 1)) & 1) * ((y >> (2 * j)) & 1)

@@ -152,6 +152,26 @@ def test_scan_budget_flags_are_explicit():
     assert code == 2 and "--node-limit" in text
 
 
+def test_budget_is_only_the_schur_sample_count():
+    code, text = run_cli("scan", "tmr-additivity", "--n1", "2", "--n2", "2", "--budget", "100")
+    assert code == 2 and "--budget" in text and "--node-limit" in text
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["scan", "schur-3x3", "--n2", "2", "--budget", "-5"], "--budget"),
+    (["verify-theorems", "--max-n", "-1"], "--max-n"),
+    (["scan", "tmr-additivity", "--n1", "-1"], "--n1"),
+    (["scan", "inv-lower-bound", "--n2", "-2"], "--n2"),
+    (["scan", "tmr-additivity", "--n1", "2", "--n2", "2", "--workers", "-2"], "--workers"),
+    (["verify-theorems", "--workers", "0"], "--workers"),
+    (["inv", "3:101", "--node-limit", "-1"], "--node-limit"),
+])
+def test_negative_counts_are_usage_errors(capsys, argv, flag):
+    code, _ = run_cli(*argv)
+    assert code == 2
+    assert f"argument {flag}: must be >= " in capsys.readouterr().err
+
+
 def test_usage_errors_name_the_input():
     code, text = run_cli("inv", "3:10z")
     assert code == 2 and "'z'" in text

@@ -32,13 +32,21 @@ from invlab import (
     verify_certificate,
 )
 from invlab.decycling import apply_matrix
-from invlab.search import _lex_allowed, _parity_sets, _placements
+from invlab.search import (
+    _assignment_order,
+    _level_search,
+    _lex_allowed,
+    _Nodes,
+    _parity_sets,
+    _placements,
+)
 from oracles import (
     arcs_apply_matrix,
     arcs_dijoin,
     arcs_induced,
     arcs_invert,
     arcs_reverse,
+    lex_least_assignment,
     place_position,
 )
 
@@ -178,6 +186,17 @@ def test_placements_match_per_vector_rule(data):
     assert members(valid, m) == {x for x, pos in want.items() if pos is not None}
     for p, part in enumerate(parts):
         assert members(part, m) == {x for x, pos in want.items() if pos == p}
+
+
+@settings(deadline=None, max_examples=300)
+@given(arc_lists(max_n=7), st.integers(0, 3))
+def test_level_search_returns_the_lex_least_assignment(graph, k):
+    # oriented graphs and tournaments alike: the candidate sets and the
+    # column rule return the witness a plain search over every vector finds
+    n, arcs = graph
+    D = OrientedGraph(n, arcs)
+    found = _level_search(D, k, counter=_Nodes())
+    assert found == lex_least_assignment(n, arcs, _assignment_order(D), k)
 
 
 def test_lex_allowed_all_tied_is_the_sorted_first_rows():
