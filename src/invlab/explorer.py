@@ -55,7 +55,6 @@ from .search import Inconclusive, SearchBudget, check_trichotomy, solve_inv, sol
 REPORT_SCHEMA = "invlab.scan-report/1"
 
 MAX_CANONICAL_N = 8
-MAX_ISO_N = 8
 
 _C3 = decode("3:101")
 
@@ -127,8 +126,8 @@ def _iso_class_ints(n: int) -> tuple[int, ...]:
     Every class on n vertices is a class on n-1 vertices plus a vertex n-1
     with one of the 2^(n-1) out-patterns.
     """
-    if n > MAX_ISO_N:
-        raise ValueError(f"isomorphism-reduced enumeration supports n <= {MAX_ISO_N}")
+    if n > MAX_CANONICAL_N:
+        raise ValueError(f"isomorphism-reduced enumeration supports n <= {MAX_CANONICAL_N}")
     if n <= 1:
         return (0,)
     top = 1 << (n - 1)

@@ -241,27 +241,27 @@ def factor_symmetric(A: SymMatGF2) -> MatGF2:
 
 
 def full_rank_principal(A: SymMatGF2, target: int | str = "max") -> tuple[int, ...]:
-    """Indices of a principal submatrix of rank `target` (or rank(A) for "max").
+    """Indices of a principal submatrix of full rank k = rank(A).
 
-    For the full-rank case these are the indices of the first row basis of
-    A, taken greedily in index order: if rows S span the row space of a
-    symmetric A, then A = A[:, S] Q gives A[S, :] = A[S, S] Q, so A[S, S] has
-    rank |S|.  Smaller targets fall back to a lexicographic depth-first
-    search, since parity can make them infeasible (every principal
-    submatrix of an all-zero-diagonal matrix has even rank).
+    target is "max" or k itself.  The indices are those of the first row
+    basis of A, taken greedily in index order: if rows S span the row space
+    of a symmetric A, then A = A[:, S] Q gives A[S, :] = A[S, S] Q, so
+    A[S, S] has rank |S|.  A target below k raises ValueError: nothing
+    needs it, and parity can make it infeasible (every principal submatrix
+    of an all-zero-diagonal matrix has even rank).
     """
     echelon: list[int] = []
     basis = tuple(i for i, r in enumerate(A.rows) if _echelon_insert(echelon, r))
     k = len(basis)
     if target == "max":
-        target = k
+        return basis
     if not isinstance(target, int) or target < 0:
         raise ValueError(f"target must be 'max' or a nonnegative integer, got {target!r}")
     if target > k:
         raise ValueError(f"infeasible: target rank {target} exceeds rank(A) = {k}")
-    if target == k:
-        return basis
-    return _principal_by_search(A, target)
+    if target < k:
+        raise ValueError(f"unsupported: target rank {target} is below rank(A) = {k}")
+    return basis
 
 
 def _echelon_insert(echelon: list[int], vec: int) -> bool:
@@ -277,30 +277,6 @@ def _echelon_insert(echelon: list[int], vec: int) -> bool:
     echelon.append(vec)
     echelon.sort(key=int.bit_length, reverse=True)
     return True
-
-
-def _principal_by_search(A: SymMatGF2, target: int) -> tuple[int, ...]:
-    n = A.n
-
-    def extend(prefix: list[int], start: int) -> tuple[int, ...] | None:
-        size = len(prefix)
-        if size == target:
-            if rank(A.principal(prefix)) == target:
-                return tuple(prefix)
-            return None
-        cur = rank(A.principal(prefix)) if prefix else 0
-        if cur + 2 * (target - size) < target:
-            return None  # each added index raises the rank by at most 2
-        for i in range(start, n - (target - size) + 1):
-            found = extend(prefix + [i], i + 1)
-            if found is not None:
-                return found
-        return None
-
-    found = extend([], 0)
-    if found is None:
-        raise ValueError(f"infeasible: no principal submatrix of rank {target}")
-    return found
 
 
 def _solve(A: SymMatGF2, rhs: Iterable[int]) -> list[int]:

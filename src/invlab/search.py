@@ -34,23 +34,23 @@ and node counts (one per accepted placement) can only fall.
 
 One level loop (_levels) serves every solver.  Level k tries width k under
 the dot product x.y.  With the rank pass on, an even level k > 0 where that
-fails runs a second width-k pass under the symplectic form
-x^T Omega y = x.swap(y), swap exchanging bits 2j and 2j+1: over GF(2) a
-symmetric matrix of rank r is congruent to I_r when some diagonal entry is
-1 and to Omega_r (r even) when the diagonal is zero (A. A. Albert, Trans.
-AMS 1938), so it is Y Y^T or Y Omega Y^T with Y of width r, and the two
-passes cover every decycling matrix of rank at most k.  The second pass is
-the same bitset search with odd[t] = P[swap(vecs[t])].  Its column rule
-keeps only ties inside a hyperbolic pair (columns 2j, 2j+1): swapping those
-two columns preserves Omega, so the lex-leader argument above holds, while
-swapping columns of different pairs does not.  A success is lifted to an
-ordinary width-(k+1) assignment with the same gram matrix through a fixed W
-with W W^T = Omega_k.  Only a gap instance (inv = tmr + 1) reaches a
-successful second pass, so only there does a witness come from it;
-elsewhere it is the first width-k dot-product success.  solve_inv runs the
-loop without the rank pass, solve_tmr with it, and check_trichotomy reads
-inv, tmr and both certificates off one run with it.  The search runs in the
-calling process; scans parallelise across instances instead.
+fails runs a second pass: the same width-(k+1) search with every candidate
+set restricted to the even-weight vectors.  It covers the zero-diagonal
+decycling matrices of rank <= k, because for even k a zero-diagonal
+symmetric M has rank <= k iff M = Y Y^T with Y of width k+1 and every row
+of even weight.  If M has rank r <= k, then M = Z H Z^T with H the sum of
+k/2 blocks [[0, 1], [1, 0]] (A. A. Albert, Trans. AMS 1938), and Y = Z W
+works for any W with W W^T = H, whose rows have even weight since H has a
+zero diagonal.  Conversely x.x is the weight of x mod 2, so Y Y^T has a zero
+diagonal, and its rows lie in the k-dimensional even-weight space.  Every
+column permutation keeps weights as well as dot products, so the column
+rule above holds in the second pass unchanged.  Only a gap instance
+(inv = tmr + 1) reaches a successful second pass, so only there does a
+witness come from it; elsewhere it is the first width-k dot-product
+success.  solve_inv runs the loop without the rank pass, solve_tmr with it,
+and check_trichotomy reads inv, tmr and both certificates off one run with
+it.  The search runs in the calling process; scans parallelise across
+instances instead.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from .digraph import (
     is_acyclic,
     topological_order,
 )
-from .gf2 import _trusted_sym, factor_symmetric, rank
+from .gf2 import rank
 
 
 @dataclass(frozen=True)
@@ -202,13 +202,13 @@ def _level_search(
     m: int,
     *,
     counter: _Nodes,
-    symplectic: bool = False,
+    even: bool = False,
 ) -> Optional[tuple[int, ...]]:
     """Lexicographically first decycling width-m assignment, or None.
 
     Vectors are indexed by assignment slot (see _assignment_order).  With
-    symplectic (tournaments, even m) an arc flips iff x.swap(y) is odd, the
-    form x^T Omega y of m/2 hyperbolic pairs, in place of x.y.
+    even (tournaments) every vector has even weight, so the gram matrix has
+    a zero diagonal and rank at most m-1.
     """
     n = D.n
     if n == 0:
@@ -216,7 +216,7 @@ def _level_search(
     slots = _assignment_order(D)
     out_slots, pres = _slot_tables(D, slots)
     if D.is_tournament:
-        return _search_tournament(n, out_slots, m, counter=counter, symplectic=symplectic)
+        return _search_tournament(n, out_slots, m, counter=counter, even=even)
     return _search_general(n, out_slots, pres, m, counter=counter)
 
 
@@ -254,16 +254,12 @@ def _placements(
     return valid, parts
 
 
-def _search_tournament(n, out_slots, m, *, counter, symplectic):
+def _search_tournament(n, out_slots, m, *, counter, even):
     full = (1 << (1 << m)) - 1
     par = _parity_sets(m)
     all_tied = (1 << max(m - 1, 0)) - 1  # bit j: columns j, j+1 still equal
-    if symplectic:
-        # m even: par[v] becomes {x : x.swap(v) odd}, and a column swap
-        # preserves Omega only inside a hyperbolic pair (2j, 2j+1)
-        evens = ((1 << m) - 1) // 3  # bit 2j of every pair
-        par = [par[((v & evens) << 1) | ((v >> 1) & evens)] for v in range(1 << m)]
-        all_tied &= evens
+    # x.x is the weight of x mod 2, so the even-weight x are full ^ P[all ones]
+    allowed = full ^ par[(1 << m) - 1] if even else full
     vecs = [0] * n
     odd = [0] * n  # odd[t] = par[vecs[t]]
     order: list[int] = []  # assigned slots, transitive order, winners first
@@ -272,7 +268,7 @@ def _search_tournament(n, out_slots, m, *, counter, symplectic):
         if i == n:
             return True
         valid, parts = _placements(out_slots[i], order, odd, full)
-        valid &= _lex_allowed(m, tie)
+        valid &= allowed & _lex_allowed(m, tie)
         while valid:
             low = valid & -valid
             valid ^= low
@@ -352,26 +348,6 @@ def _family_from_assignment(D: OrientedGraph, m: int, vecs: Sequence[int]) -> Ve
     return VertexFamily(D.n, tuple(sets))
 
 
-@lru_cache(maxsize=None)
-def _omega_factor(k: int) -> tuple[int, ...]:
-    """Rows of a fixed k x (k+1) matrix W with W W^T = Omega_k (k even, k > 0)."""
-    return factor_symmetric(_trusted_sym(k, [1 << (i ^ 1) for i in range(k)])).rows
-
-
-def _lift_symplectic(k: int, vecs: Sequence[int]) -> tuple[int, ...]:
-    """Each x mapped to xW: (xW).(yW) = x^T Omega_k y, so the lifted width-(k+1)
-    assignment has the gram matrix Y Omega_k Y^T of the symplectic one."""
-    W = _omega_factor(k)
-    lifted = []
-    for x in vecs:
-        y = 0
-        for b in range(k):
-            if (x >> b) & 1:
-                y ^= W[b]
-        lifted.append(y)
-    return tuple(lifted)
-
-
 def _max_useful_m(D: OrientedGraph) -> int:
     # flipping the 2-set {u, v} flips exactly the arc uv, so inv(D) never
     # exceeds the number of arcs
@@ -384,8 +360,9 @@ def _levels(
     """The first level k with a decycling assignment: (k, its width, its vectors).
 
     Every level tries width k under the dot product; with rank_pass, even
-    levels k > 0 where that fails also try width k under Omega_k, and a
-    success there is returned lifted to width k+1 (_lift_symplectic).
+    levels k > 0 where that fails also try width k+1 with even-weight
+    vectors only, whose gram matrices are the zero-diagonal ones of rank
+    <= k (see the module docstring), and a success there has width k+1.
     """
     counter = _Nodes(budget.node_limit)
     hard_cap = _max_useful_m(D)
@@ -396,9 +373,9 @@ def _levels(
             if found is not None:
                 return k, k, found
             if rank_pass and k > 0 and k % 2 == 0:
-                found = _level_search(D, k, counter=counter, symplectic=True)
+                found = _level_search(D, k + 1, counter=counter, even=True)
                 if found is not None:
-                    return k, k + 1, _lift_symplectic(k, found)
+                    return k, k + 1, found
         except _NodeLimit:
             raise Inconclusive(
                 k, None, f"node limit {budget.node_limit} reached at level {k}"
@@ -503,8 +480,8 @@ def check_trichotomy(T: Tournament, budget: Optional[SearchBudget] = None) -> Tr
     # One run of the rank-pass loop answers both questions.  It tries width j
     # under the dot product at every level j <= k, the same passes solve_inv
     # makes, so every width below the returned one failed: inv = k when width
-    # k succeeded, and inv = k+1 when only the symplectic pass did, whose
-    # lifted assignment has k+1 columns.  Either way the returned assignment
+    # k succeeded, and inv = k+1 when only the even-weight pass did, whose
+    # assignment has k+1 columns.  Either way the returned assignment
     # is a minimum decycling family, and its gram matrix is a minimum-rank
     # decycling matrix.
     family = _family_from_assignment(T, width, vecs)

@@ -200,27 +200,21 @@ def min_zero_diag_decycling_rank(n, arcs):
     return best
 
 
-def lex_least_assignment(n, arcs, slots, k, symplectic=False):
+def lex_least_assignment(n, arcs, slots, k, even=False):
     """Lexicographically least decycling width-k assignment of an oriented graph.
 
     Slot s holds vertex slots[s] and the s-th vector, and an arc flips iff
-    the form of its endpoints' vectors is 1: the dot product x.y, or with
-    symplectic the form x^T Omega y, Omega pairing coordinate 2j with 2j+1.
-    Plain depth-first search over all 2^k vectors per slot, in ascending
-    order, pruned when the flipped arcs among the assigned vertices close a
-    cycle, with no symmetry rule.  Returns the vectors by slot, or None.
+    the dot product of its endpoints' vectors is 1.  Plain depth-first search
+    over all 2^k vectors per slot (with even, over those of even weight), in
+    ascending order, pruned when the flipped arcs among the assigned vertices
+    close a cycle, with no symmetry rule.  Returns the vectors by slot, or
+    None.
     """
-
-    def form(x, y):
-        if not symplectic:
-            return sum(((x >> b) & 1) * ((y >> b) & 1) for b in range(k)) % 2
-        return sum(
-            ((x >> (2 * j)) & 1) * ((y >> (2 * j + 1)) & 1)
-            + ((x >> (2 * j + 1)) & 1) * ((y >> (2 * j)) & 1)
-            for j in range(k // 2)
-        ) % 2
-
-    table = [[form(x, y) for y in range(1 << k)] for x in range(1 << k)]
+    table = [
+        [sum(((x >> b) & 1) * ((y >> b) & 1) for b in range(k)) % 2 for y in range(1 << k)]
+        for x in range(1 << k)
+    ]
+    candidates = [x for x in range(1 << k) if not (even and bin(x).count("1") % 2)]
     slot_of = {v: s for s, v in enumerate(slots)}
     arcs_by_slot = [[] for _ in range(n)]  # arcs to earlier slots, as slot pairs
     for u, v in arcs:
@@ -249,7 +243,7 @@ def lex_least_assignment(n, arcs, slots, k, symplectic=False):
     def dfs(s):
         if s == n:
             return True
-        for x in range(1 << k):
+        for x in candidates:
             vecs.append(x)
             new = [
                 (b, a) if table[vecs[a]][vecs[b]] else (a, b) for a, b in arcs_by_slot[s]

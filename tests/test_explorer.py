@@ -115,7 +115,7 @@ def test_verify_dijoin_theorems_small():
 
 def test_dijoin_pair_task_reads_d2_off_one_search():
     # D2 has inv 3 and tmr 2, so inv2 must come from the tmr search's
-    # symplectic pass, lifted to width 3; no class with n <= 7 has a gap
+    # even-weight pass, of width 3; no class with n <= 7 has a gap
     gap = "10:010100000111011100001001111110010000111110100"
     assert _tmr_result(gap) == (2, False, 3)
     out = _dijoin_pair_task(("3:101", gap, None))

@@ -30,7 +30,6 @@ from invlab.search import (
     _assignment_order,
     _family_from_assignment,
     _level_search,
-    _lift_symplectic,
     _Nodes,
 )
 from oracles import (
@@ -147,7 +146,7 @@ def test_check_trichotomy_matches_solve_inv_on_classes_n_le_7():
 
 def test_check_trichotomy_gap_instance():
     # no class with n <= 7 has inv > tmr; this one does, so inv comes from
-    # the symplectic pass's assignment, lifted to width tmr + 1
+    # the even-weight pass's assignment, of width tmr + 1
     T = decode("10:010100000111011100001001111110010000111110100")
     r = check_trichotomy(T)
     assert (r.inv, r.tmr, r.min_rank_nonzero_diag) == (3, 2, False)
@@ -245,6 +244,17 @@ def test_seeded_n12_tournament_inv():
     assert verify_certificate(T, res.certificate)
 
 
+def test_seeded_n12_tournament_tmr():
+    # solve_tmr takes 91,021 nodes here and solve_inv 75,351, so the budget
+    # keeps tmr's second passes cheap (a width-4 pass under the alternating
+    # form took 522,029 nodes)
+    n = 12
+    T = Tournament(n, random.Random(n).getrandbits(pair_count(n)))
+    res = solve_tmr(T, SearchBudget(node_limit=150_000))
+    assert res.value == 5
+    assert verify_certificate(T, res.certificate)
+
+
 # three of the 280 classes with n = 8 and inv = tmr + 1 = 3
 GAP8 = (
     "8:0000001000010000000100001111",
@@ -253,13 +263,13 @@ GAP8 = (
 )
 
 
-def test_symplectic_pass_against_zero_diag_rank_oracle():
-    # the width-k pass under Omega_k succeeds iff some zero-diagonal decycling
-    # matrix has rank <= k; the oracle ranks the flip matrix of every vertex
-    # order.  With the within-pair column rule it still returns the
-    # lexicographically least assignment, found by a search with no rule.  A
-    # lifted witness carries Y Omega Y^T as its gram matrix, which must be
-    # zero-diagonal, of rank <= k, and decycle T (checked on arcs)
+def test_even_weight_pass_against_zero_diag_rank_oracle():
+    # for even k, the width-(k+1) pass over even-weight vectors succeeds iff
+    # some zero-diagonal decycling matrix has rank <= k; the oracle ranks the
+    # flip matrix of every vertex order.  With the full column rule it still
+    # returns the lexicographically least even-weight assignment, found by a
+    # search with no rule.  Its gram matrix must be zero-diagonal, of rank
+    # <= k, and decycle T (checked on arcs)
     graphs = [T for n in range(1, 7) for T in enumerate_tournaments(n)]
     graphs += [decode(e) for e in GAP8]
     seen = set()
@@ -267,13 +277,14 @@ def test_symplectic_pass_against_zero_diag_rank_oracle():
         best = min_zero_diag_decycling_rank(T.n, T.arcs())
         seen.add(best)
         for k in (2, 4):
-            found = _level_search(T, k, counter=_Nodes(), symplectic=True)
+            found = _level_search(T, k + 1, counter=_Nodes(), even=True)
             assert (found is not None) == (best <= k), (encode(T), k, best)
-            least = lex_least_assignment(T.n, T.arcs(), _assignment_order(T), k, symplectic=True)
+            least = lex_least_assignment(T.n, T.arcs(), _assignment_order(T), k + 1, even=True)
             assert found == least, (encode(T), k)
             if found is None:
                 continue
-            M = family_to_matrix(_family_from_assignment(T, k + 1, _lift_symplectic(k, found)))
+            assert all(x.bit_count() % 2 == 0 for x in found)
+            M = family_to_matrix(_family_from_assignment(T, k + 1, found))
             assert not any(M.diagonal()) and best <= rank(M) <= k
             flipped = arcs_apply_matrix(T.arcs(), M.to_lists())
             assert dfs_acyclic(OrientedGraph(T.n, sorted(flipped)))
@@ -283,7 +294,7 @@ def test_symplectic_pass_against_zero_diag_rank_oracle():
 
 # sha256 of the sorted "encoding inv tmr diag" rows of check_trichotomy over
 # the 6,880 classes with n = 8, recorded with a different second pass (width
-# k+1 under a rank cap of k), so the symplectic pass is checked against it
+# k+1 under a rank cap of k), so the even-weight pass is checked against it
 N8_TRICHOTOMY_SHA256 = "ffb92be4414d6fb03768e4c2e85b436f62a18ffbb2ec9d2b9a13d045a27ae7d4"
 
 
