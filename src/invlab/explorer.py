@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
@@ -258,6 +257,9 @@ def _scan(scope: dict, jobs: list, workers: int, fold) -> ScanReport:
     if workers <= 1 or len(jobs) <= 1:
         results = [_run_job(job) for job in jobs]
     else:
+        # imported here, so that solves and one-worker scans never load it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_job, jobs, chunksize=8))
     report = ScanReport(scope=scope, instances_checked=len(results))

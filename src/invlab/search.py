@@ -9,12 +9,19 @@ assigned vertices is cyclic, which is safe because induced subgraphs of
 acyclic digraphs are acyclic.
 
 Candidates are handled as sets: a subset of GF(2)^m is a 2^m-bit int with
-bit x standing for the vector x.  On tournaments the acyclic extensions of a
-placed slot order are one transitive order, so the new slot's valid vectors
-are the union over insert positions p of "loses to the first p placed slots"
-and "beats the rest", built from the cached sets {x : x.v odd} with
-O(slots placed) big-int operations (_placements); the loop then walks only
-the valid x in ascending order.  On other oriented graphs the search keeps
+bit x standing for the vector x.  On tournaments the placed slots form one
+transitive order, and an acyclic tournament is transitive, so a new slot
+keeps the order acyclic exactly when the slots it loses to are a prefix:
+its results along the order read loss ... loss win ... win, and it enters
+after its run of losses.  One forward pass over the order (_placements)
+keeps, from the cached sets {x : x.v odd}, L_p = the x that lose to the
+first p placed slots and M_p = the x whose first p results are losses then
+at least one win.  With lose = the x losing to the next slot, M_{p+1} =
+(L_p | M_p) - lose and L_{p+1} = L_p & lose, so after the last slot L | M
+is exactly the set of x with that pattern, and the insert position of such
+an x is the last p with x in L_p.  That is O(slots placed) big-int
+operations for all x at once; the loop then walks only the valid x in
+ascending order.  On other oriented graphs the search keeps
 below[t], the placed slots with a flipped path to t (t included), and
 beats[t], the x that orient {i, t} as i -> t for each placed neighbour t
 of the new slot i; x is invalid iff it lies in beats[t] and not in beats[s]
@@ -221,37 +228,28 @@ def _level_search(
 
 
 def _placements(
-    oi: int, order: list[int], odd: list[int], full: int
+    flip_row: list[int], order: list[int], odd: list[int], full: int
 ) -> tuple[int, list[int]]:
-    """Candidate sets for a tournament slot with out row oi: (all valid x, parts).
+    """Candidate sets for a tournament slot, in one pass over order: (all valid x, chain).
 
-    parts[p] holds the x that put the slot at position p of the transitive
-    order, losing to order[:p] and beating order[p:]; the slot beats t iff its
-    out bit toward t differs from x.vecs[t] mod 2, so the x that beat t are
-    odd[t] = {x : x.vecs[t] odd} or its complement in full.  The parts are
-    disjoint, and this takes O(len(order)) big-int operations for all x at once.
+    The slot loses to t for the x in odd[t] ^ flip_row[t], where odd[t] =
+    {x : x.vecs[t] odd} and flip_row[t] is 0 when the slot's out bit toward t
+    is set, full otherwise.  V = L | M of the module docstring, so a step
+    drops from V the x of V - L that lose to t.  chain is [full, L_1, ...,
+    L_k, 0]: the insert position of a valid x is the last p with x in
+    chain[p], and the trailing 0 is a sentinel.
     """
-    k = len(order)
-    beats = [0] * k + [full]  # beats[p]: the x beating all of order[p:]
-    acc = full
-    for p in range(k - 1, -1, -1):
-        t = order[p]
-        acc &= odd[t] ^ full if (oi >> t) & 1 else odd[t]
-        if not acc:
-            break
-        beats[p] = acc
-    parts = [0] * (k + 1)
-    valid = 0
-    loses = full
-    for p in range(k + 1):
-        parts[p] = part = loses & beats[p]
-        valid |= part
-        if p < k:
-            t = order[p]
-            loses &= odd[t] if (oi >> t) & 1 else odd[t] ^ full
-            if not loses:
-                break
-    return valid, parts
+    L = V = full
+    chain = [full]
+    for t in order:
+        lose = odd[t] ^ flip_row[t]
+        V ^= (V ^ L) & lose
+        if not V:
+            return 0, chain
+        L &= lose
+        chain.append(L)
+    chain.append(0)
+    return V, chain
 
 
 def _search_tournament(n, out_slots, m, *, counter, even):
@@ -260,6 +258,9 @@ def _search_tournament(n, out_slots, m, *, counter, even):
     all_tied = (1 << max(m - 1, 0)) - 1  # bit j: columns j, j+1 still equal
     # x.x is the weight of x mod 2, so the even-weight x are full ^ P[all ones]
     allowed = full ^ par[(1 << m) - 1] if even else full
+    # flip[i][t] is 0 if slot i's out bit toward t is set, else full, so that
+    # odd[t] ^ flip[i][t] holds the x for which slot i loses to t
+    flip = [[0 if (o >> t) & 1 else full for t in range(n)] for o in out_slots]
     vecs = [0] * n
     odd = [0] * n  # odd[t] = par[vecs[t]]
     order: list[int] = []  # assigned slots, transitive order, winners first
@@ -267,14 +268,14 @@ def _search_tournament(n, out_slots, m, *, counter, even):
     def dfs(i: int, tie: int) -> bool:
         if i == n:
             return True
-        valid, parts = _placements(out_slots[i], order, odd, full)
+        valid, chain = _placements(flip[i], order, odd, full)
         valid &= allowed & _lex_allowed(m, tie)
         while valid:
             low = valid & -valid
             valid ^= low
             x = low.bit_length() - 1
             pos = 0
-            while not parts[pos] & low:
+            while chain[pos + 1] & low:
                 pos += 1
             counter.tick()
             vecs[i] = x

@@ -231,3 +231,18 @@ def test_python_m_invlab_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert "inv = 1" in proc.stdout
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # explorer._scan imports its pool only when one runs, so a solve or a
+    # one-worker scan never loads the pool machinery
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    heavy = ("concurrent.futures", "multiprocessing", "logging")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import invlab.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -180,12 +180,19 @@ def test_placements_match_per_vector_rule(data):
     order = data.draw(st.permutations(range(k)))
     out_row = data.draw(st.integers(0, (1 << k) - 1))
     par = _parity_sets(m)
-    valid, parts = _placements(out_row, order, [par[v] for v in vecs], (1 << (1 << m)) - 1)
-    assert len(parts) == k + 1
+    full = (1 << (1 << m)) - 1
+    flip_row = [0 if (out_row >> t) & 1 else full for t in range(k)]
+    valid, chain = _placements(flip_row, order, [par[v] for v in vecs], full)
     want = {x: place_position(order, vecs, out_row, x) for x in range(1 << m)}
     assert members(valid, m) == {x for x, pos in want.items() if pos is not None}
-    for p, part in enumerate(parts):
-        assert members(part, m) == {x for x, pos in want.items() if pos == p}
+    if valid:
+        # the pass stops early only once no x is valid
+        assert len(chain) == k + 2
+    for x in members(valid, m):
+        pos = 0
+        while (chain[pos + 1] >> x) & 1:
+            pos += 1
+        assert pos == want[x]
 
 
 @settings(deadline=None, max_examples=300)

@@ -236,23 +236,47 @@ def test_values_match_recorded_expected(key):
             assert check_trichotomy(D).holds == e["holds"]
 
 
+# the seeded n = 12 solves pin the search tree, not only the value: each
+# succeeds with exactly the nodes it needs and is inconclusive one node
+# short, so a kernel change that visits the candidates differently fails
 def test_seeded_n12_tournament_inv():
     n = 12
     T = Tournament(n, random.Random(n).getrandbits(pair_count(n)))
-    res = solve_inv(T)
+    res = solve_inv(T, SearchBudget(node_limit=75_351))
     assert res.value == 5
     assert verify_certificate(T, res.certificate)
+    with pytest.raises(Inconclusive):
+        solve_inv(T, SearchBudget(node_limit=75_350))
 
 
 def test_seeded_n12_tournament_tmr():
-    # solve_tmr takes 91,021 nodes here and solve_inv 75,351, so the budget
-    # keeps tmr's second passes cheap (a width-4 pass under the alternating
-    # form took 522,029 nodes)
+    # a width-4 pass under the alternating form took 522,029 nodes here
     n = 12
     T = Tournament(n, random.Random(n).getrandbits(pair_count(n)))
-    res = solve_tmr(T, SearchBudget(node_limit=150_000))
+    res = solve_tmr(T, SearchBudget(node_limit=91_021))
     assert res.value == 5
     assert verify_certificate(T, res.certificate)
+    with pytest.raises(Inconclusive):
+        solve_tmr(T, SearchBudget(node_limit=91_020))
+
+
+# sha256 of the "class width even vectors nodes" rows of _level_search over
+# the 456 classes with n = 7 at widths 0-3, with and without even, recorded
+# before the tournament kernel became one forward pass per slot
+NODES7_SHA256 = "955c0dc58f032888a47256cbdef009d529c4885235861eb5486d727c84067c45"
+
+
+def test_level_search_nodes_on_classes_n7():
+    rows = []
+    for T in enumerate_tournaments(7):
+        for m in range(4):
+            for even in (False, True):
+                counter = _Nodes()
+                found = _level_search(T, m, counter=counter, even=even)
+                vecs = "-" if found is None else ",".join(map(str, found))
+                rows.append(f"{encode(T)} {m} {int(even)} {vecs} {counter.used}")
+    assert len(rows) == 456 * 8
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == NODES7_SHA256
 
 
 # three of the 280 classes with n = 8 and inv = tmr + 1 = 3
