@@ -17,9 +17,9 @@ from .digraph import (
     Tournament,
     VertexFamily,
     _make,
+    _topological_order_or_none,
     invert,
     is_acyclic,
-    topological_order,
 )
 from .gf2 import MatGF2, SymMatGF2, factor_symmetric, gram, rank
 
@@ -153,18 +153,18 @@ def matrix_to_family(M: SymMatGF2) -> VertexFamily:
 
 def family_certificate(D: OrientedGraph, family: VertexFamily) -> Certificate:
     """Certificate that |family| inversions decycle D; raises if they do not."""
-    after = invert(D, family)
-    if not is_acyclic(after):
+    order = _topological_order_or_none(invert(D, family))
+    if order is None:
         raise ValueError("family does not decycle the graph")
-    return Certificate("family", family, family.m, topological_order(after))
+    return Certificate("family", family, family.m, order)
 
 
 def matrix_certificate(T: Tournament, M: SymMatGF2) -> Certificate:
     """Certificate that M is a decycling matrix of its rank; raises otherwise."""
-    after = apply_matrix(T, M)
-    if not is_acyclic(after):
+    order = _topological_order_or_none(apply_matrix(T, M))
+    if order is None:
         raise ValueError("matrix does not decycle the tournament")
-    return Certificate("matrix", M, rank(M), topological_order(after))
+    return Certificate("matrix", M, rank(M), order)
 
 
 def certificate_error(D: OrientedGraph, cert: Certificate) -> str | None:
@@ -191,9 +191,9 @@ def certificate_error(D: OrientedGraph, cert: Certificate) -> str | None:
         after = apply_matrix(D, M)
     else:
         return f"unknown certificate kind {cert.kind!r}"
-    if not is_acyclic(after):
+    achieved = _topological_order_or_none(after)
+    if achieved is None:
         return "payload does not decycle the graph"
-    achieved = topological_order(after)
     if achieved != cert.order:
         return f"replayed order {achieved} differs from recorded {cert.order}"
     return None

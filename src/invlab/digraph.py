@@ -5,8 +5,8 @@ v's out-neighbours and `adj[v]` the vertices that share an arc with v, so
 `out[v]` is a subset of `adj[v]`, `adj` is symmetric, and each adjacent
 pair appears in exactly one direction of `out`.  A tournament is the
 special case where every pair is adjacent.  Every structural operation
-(inverting a family, reversing, dijoins, induced subgraphs) is a row
-operation.
+(inverting a family, reversing, dijoins, induced subgraphs, relabelling
+the vertices into a given order) is a row operation.
 
 Pair-index bits, one bit per unordered pair {i, j} with i < j in
 lexicographic order, exist only in the text codec: `decode`, `encode`,
@@ -140,11 +140,6 @@ def _make(n: int, out: Iterable[int], adj: Sequence[int] | None = None) -> Orien
     g.n = n
     g.out = tuple(out)
     return g
-
-
-def _relabel_row(row: int, vertices: Sequence[int]) -> int:
-    """The bits of `row` at positions vertices[0], vertices[1], ... packed low first."""
-    return sum(((row >> v) & 1) << k for k, v in enumerate(vertices))
 
 
 @dataclass(frozen=True)
@@ -355,9 +350,16 @@ def induced(D: OrientedGraph, vertices: Iterable[int]) -> OrientedGraph:
     sub = sorted(set(vertices))
     if sub and not (0 <= sub[0] and sub[-1] < D.n):
         raise ValueError(f"vertex subset {sub} not within 0..{D.n - 1}")
-    out = [_relabel_row(D.out[v], sub) for v in sub]
-    adj = [_relabel_row(D.adj[v], sub) for v in sub]
-    return _make(len(sub), out, adj)
+    return _relabel(D, sub)
+
+
+def _relabel(D: OrientedGraph, order: Sequence[int]) -> OrientedGraph:
+    """The subgraph induced on the distinct vertices `order`, with order[k] renamed k."""
+
+    def row(r: int) -> int:
+        return sum(((r >> v) & 1) << k for k, v in enumerate(order))
+
+    return _make(len(order), [row(D.out[v]) for v in order], [row(D.adj[v]) for v in order])
 
 
 def transitive_tournament(order: Sequence[int]) -> Tournament:

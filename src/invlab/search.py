@@ -39,6 +39,10 @@ assignment of the same rank.  So the rule cuts only subtrees that hold no
 solution lexicographically before the witness, the same witness comes back,
 and node counts (one per accepted placement) can only fall.
 
+The slots are formed once per solve: _levels orders the vertices by
+_assignment_order and relabels D into that order (digraph._relabel), so
+vertex s of the one graph every level searches is slot s.
+
 One level loop (_levels) serves every solver.  Level k tries width k under
 the dot product x.y.  With the rank pass on, an even level k > 0 where that
 fails runs a second pass: the same width-(k+1) search with every candidate
@@ -69,6 +73,7 @@ from typing import NamedTuple, Optional, Sequence
 from .decycling import (
     Certificate,
     certificate_error,
+    family_certificate,
     family_to_matrix,
     matrix_certificate,
 )
@@ -76,13 +81,10 @@ from .digraph import (
     OrientedGraph,
     Tournament,
     VertexFamily,
-    _relabel_row,
+    _relabel,
     encode,
-    invert,
     is_acyclic,
-    topological_order,
 )
-from .gf2 import rank
 
 
 @dataclass(frozen=True)
@@ -197,13 +199,6 @@ def _lex_allowed(m: int, tie: int) -> int:
     return allowed
 
 
-def _slot_tables(D: OrientedGraph, slots: list[int]):
-    """Out-neighbour and adjacency rows reindexed by assignment slot."""
-    out_slots = [_relabel_row(D.out[v], slots) for v in slots]
-    pres = [_relabel_row(D.adj[v], slots) for v in slots]
-    return out_slots, pres
-
-
 def _level_search(
     D: OrientedGraph,
     m: int,
@@ -213,18 +208,14 @@ def _level_search(
 ) -> Optional[tuple[int, ...]]:
     """Lexicographically first decycling width-m assignment, or None.
 
-    Vectors are indexed by assignment slot (see _assignment_order).  With
-    even (tournaments) every vector has even weight, so the gram matrix has
-    a zero diagonal and rank at most m-1.
+    D comes in slot order: _levels relabels the solved graph into
+    _assignment_order once per solve, so vertex s here is slot s.  With even
+    (tournaments) every vector has even weight, so the gram matrix has a
+    zero diagonal and rank at most m-1.
     """
-    n = D.n
-    if n == 0:
-        return ()
-    slots = _assignment_order(D)
-    out_slots, pres = _slot_tables(D, slots)
     if D.is_tournament:
-        return _search_tournament(n, out_slots, m, counter=counter, even=even)
-    return _search_general(n, out_slots, pres, m, counter=counter)
+        return _search_tournament(D.n, D.out, m, counter=counter, even=even)
+    return _search_general(D.n, D.out, D.adj, m, counter=counter)
 
 
 def _placements(
@@ -341,12 +332,10 @@ def _search_general(n, out_slots, pres, m, *, counter):
 # solvers
 
 
-def _family_from_assignment(D: OrientedGraph, m: int, vecs: Sequence[int]) -> VertexFamily:
-    slots = _assignment_order(D)
-    sets = [
-        frozenset(slots[s] for s in range(D.n) if (vecs[s] >> i) & 1) for i in range(m)
-    ]
-    return VertexFamily(D.n, tuple(sets))
+def _family(slots: Sequence[int], m: int, vecs: Sequence[int]) -> VertexFamily:
+    """The width-m family whose set i holds slots[s] for every slot s with bit i of vecs[s]."""
+    sets = [frozenset(v for v, x in zip(slots, vecs) if (x >> i) & 1) for i in range(m)]
+    return VertexFamily(len(slots), tuple(sets))
 
 
 def _max_useful_m(D: OrientedGraph) -> int:
@@ -357,26 +346,30 @@ def _max_useful_m(D: OrientedGraph) -> int:
 
 def _levels(
     D: OrientedGraph, budget: SearchBudget, rank_pass: bool
-) -> tuple[int, int, tuple[int, ...]]:
-    """The first level k with a decycling assignment: (k, its width, its vectors).
+) -> tuple[int, VertexFamily]:
+    """The first level k with a decycling assignment: (k, its family on D).
 
-    Every level tries width k under the dot product; with rank_pass, even
-    levels k > 0 where that fails also try width k+1 with even-weight
-    vectors only, whose gram matrices are the zero-diagonal ones of rank
-    <= k (see the module docstring), and a success there has width k+1.
+    The slots are formed here, once per solve: D is relabelled into
+    _assignment_order and every level searches that one graph.  Every level
+    tries width k under the dot product; with rank_pass, even levels k > 0
+    where that fails also try width k+1 with even-weight vectors only, whose
+    gram matrices are the zero-diagonal ones of rank <= k (see the module
+    docstring), and a success there has k+1 sets.
     """
     counter = _Nodes(budget.node_limit)
     hard_cap = _max_useful_m(D)
+    slots = _assignment_order(D)
+    S = _relabel(D, slots)
     k = 0
     while True:
         try:
-            found = _level_search(D, k, counter=counter)
+            found = _level_search(S, k, counter=counter)
             if found is not None:
-                return k, k, found
+                return k, _family(slots, k, found)
             if rank_pass and k > 0 and k % 2 == 0:
-                found = _level_search(D, k + 1, counter=counter, even=True)
+                found = _level_search(S, k + 1, counter=counter, even=True)
                 if found is not None:
-                    return k, k + 1, found
+                    return k, _family(slots, k + 1, found)
         except _NodeLimit:
             raise Inconclusive(
                 k, None, f"node limit {budget.node_limit} reached at level {k}"
@@ -386,20 +379,15 @@ def _levels(
             raise AssertionError("search exceeded the arc-count bound")
 
 
-def _inv_result(D: OrientedGraph, family: VertexFamily) -> InvResult:
-    after = invert(D, family)
-    return InvResult(family.m, Certificate("family", family, family.m, topological_order(after)))
-
-
 def _tmr_result(T: Tournament, k: int, family: VertexFamily) -> TmrResult:
     # a width-k success settles that some minimum-rank decycling matrix has a
     # nonzero diagonal entry (for k > 0), since a gram matrix of full column
     # rank cannot have an all-zero diagonal; a width-k failure means every
     # minimum-rank decycling matrix is zero-diagonal
-    M = family_to_matrix(family)
-    if rank(M) != k:
+    cert = matrix_certificate(T, family_to_matrix(family))
+    if cert.value != k:
         raise AssertionError("level invariant broken: found gram of wrong rank")
-    return TmrResult(k, matrix_certificate(T, M), family.m == k and k > 0)
+    return TmrResult(k, cert, family.m == k and k > 0)
 
 
 def _require_tournament(T) -> None:
@@ -409,8 +397,8 @@ def _require_tournament(T) -> None:
 
 def solve_inv(D: OrientedGraph, budget: Optional[SearchBudget] = None) -> InvResult:
     """Exact inversion number with a witnessing family certificate."""
-    _, width, vecs = _levels(D, budget or SearchBudget(), rank_pass=False)
-    return _inv_result(D, _family_from_assignment(D, width, vecs))
+    _, family = _levels(D, budget or SearchBudget(), rank_pass=False)
+    return InvResult(family.m, family_certificate(D, family))
 
 
 def solve_tmr(T: Tournament, budget: Optional[SearchBudget] = None) -> TmrResult:
@@ -420,8 +408,8 @@ def solve_tmr(T: Tournament, budget: Optional[SearchBudget] = None) -> TmrResult
     (see the module docstring), so the first level that succeeds is tmr.
     """
     _require_tournament(T)
-    k, width, vecs = _levels(T, budget or SearchBudget(), rank_pass=True)
-    return _tmr_result(T, k, _family_from_assignment(T, width, vecs))
+    k, family = _levels(T, budget or SearchBudget(), rank_pass=True)
+    return _tmr_result(T, k, family)
 
 
 @dataclass(frozen=True)
@@ -477,7 +465,7 @@ class TrichotomyReport:
 def check_trichotomy(T: Tournament, budget: Optional[SearchBudget] = None) -> TrichotomyReport:
     """Compute inv and tmr and report every fact of the inv/tmr trichotomy."""
     _require_tournament(T)
-    k, width, vecs = _levels(T, budget or SearchBudget(), rank_pass=True)
+    k, family = _levels(T, budget or SearchBudget(), rank_pass=True)
     # One run of the rank-pass loop answers both questions.  It tries width j
     # under the dot product at every level j <= k, the same passes solve_inv
     # makes, so every width below the returned one failed: inv = k when width
@@ -485,16 +473,14 @@ def check_trichotomy(T: Tournament, budget: Optional[SearchBudget] = None) -> Tr
     # assignment has k+1 columns.  Either way the returned assignment
     # is a minimum decycling family, and its gram matrix is a minimum-rank
     # decycling matrix.
-    family = _family_from_assignment(T, width, vecs)
-    inv_res = _inv_result(T, family)
     tmr_res = _tmr_result(T, k, family)
     return TrichotomyReport(
         encoding=encode(T),
-        inv=inv_res.value,
+        inv=family.m,
         tmr=tmr_res.value,
         transitive=is_acyclic(T),
         min_rank_nonzero_diag=tmr_res.min_rank_nonzero_diag,
-        inv_certificate=inv_res.certificate,
+        inv_certificate=family_certificate(T, family),
         tmr_certificate=tmr_res.certificate,
     )
 

@@ -129,9 +129,9 @@ def arcs_dijoin(n1, arcs1, n2, arcs2):
     return set(arcs1) | {(u + n1, v + n1) for u, v in arcs2} | cross
 
 
-def arcs_induced(arcs, vertices):
-    """Arcs with both ends in `vertices`, renumbered by rank in sorted order."""
-    rank = {v: k for k, v in enumerate(sorted(set(vertices)))}
+def arcs_induced(arcs, order):
+    """Arcs with both ends in `order`, vertex order[k] renumbered k."""
+    rank = {v: k for k, v in enumerate(order)}
     return {(rank[u], rank[v]) for u, v in arcs if u in rank and v in rank}
 
 

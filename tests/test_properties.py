@@ -32,6 +32,7 @@ from invlab import (
     verify_certificate,
 )
 from invlab.decycling import apply_matrix
+from invlab.digraph import _relabel
 from invlab.search import (
     _assignment_order,
     _level_search,
@@ -47,6 +48,7 @@ from oracles import (
     arcs_invert,
     arcs_reverse,
     lex_least_assignment,
+    naive_inv,
     place_position,
 )
 
@@ -147,7 +149,11 @@ def test_induced_and_reverse_match_oracle(graph, data):
     vertices = data.draw(st.sets(st.integers(0, n - 1)) if n else st.just(set()))
     sub = induced(D, vertices)
     check_rows(sub)
-    assert set(sub.arcs()) == arcs_induced(arcs, vertices)
+    assert set(sub.arcs()) == arcs_induced(arcs, sorted(vertices))
+    perm = data.draw(st.permutations(range(n)))
+    moved = _relabel(D, perm)
+    check_rows(moved)
+    assert set(moved.arcs()) == arcs_induced(arcs, perm)
     rev = reverse(D)
     check_rows(rev)
     assert set(rev.arcs()) == arcs_reverse(arcs)
@@ -202,8 +208,26 @@ def test_level_search_returns_the_lex_least_assignment(graph, k):
     # column rule return the witness a plain search over every vector finds
     n, arcs = graph
     D = OrientedGraph(n, arcs)
-    found = _level_search(D, k, counter=_Nodes())
-    assert found == lex_least_assignment(n, arcs, _assignment_order(D), k)
+    slots = _assignment_order(D)
+    found = _level_search(_relabel(D, slots), k, counter=_Nodes())
+    assert found == lex_least_assignment(n, arcs, slots, k)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.booleans().flatmap(lambda t: arc_lists(max_n=9, tournament=t)))
+def test_solve_inv_matches_naive_inv(graph):
+    # half the draws are tournaments, where inv 2 and 3 are common; the
+    # oracle tries every family of up to max_m sets, one set fewer from n = 8
+    # on, since a miss with two sets at n = 9 tries 2^18 families
+    n, arcs = graph
+    D = OrientedGraph(n, arcs)
+    max_m = 2 if n <= 7 else 1
+    value = solve_inv(D).value
+    want = naive_inv(D, max_m)
+    if want is None:
+        assert value > max_m
+    else:
+        assert value == want
 
 
 def test_lex_allowed_all_tied_is_the_sorted_first_rows():

@@ -25,10 +25,11 @@ from invlab import (
     solve_tmr,
     verify_certificate,
 )
-from invlab.digraph import OrientedGraph, pair_count
+from invlab import search
+from invlab.digraph import OrientedGraph, _relabel, pair_count
 from invlab.search import (
     _assignment_order,
-    _family_from_assignment,
+    _family,
     _level_search,
     _Nodes,
 )
@@ -260,6 +261,26 @@ def test_seeded_n12_tournament_tmr():
         solve_tmr(T, SearchBudget(node_limit=91_020))
 
 
+def test_one_slot_order_per_solve(monkeypatch):
+    # _levels relabels the graph into slot order once; no level or result
+    # builder orders the slots again
+    calls = []
+    order = search._assignment_order
+
+    def counted(D):
+        calls.append(D)
+        return order(D)
+
+    monkeypatch.setattr(search, "_assignment_order", counted)
+    T = Tournament(10, random.Random(10).getrandbits(pair_count(10)))
+    O = dijoin(C3, decode("4;0>1,1>2,2>0"))
+    assert not O.is_tournament
+    for solve, D in ((solve_inv, T), (solve_tmr, T), (check_trichotomy, T), (solve_inv, O)):
+        calls.clear()
+        solve(D)
+        assert calls == [D], solve.__name__
+
+
 # sha256 of the "class width even vectors nodes" rows of _level_search over
 # the 456 classes with n = 7 at widths 0-3, with and without even, recorded
 # before the tournament kernel became one forward pass per slot
@@ -269,10 +290,11 @@ NODES7_SHA256 = "955c0dc58f032888a47256cbdef009d529c4885235861eb5486d727c84067c4
 def test_level_search_nodes_on_classes_n7():
     rows = []
     for T in enumerate_tournaments(7):
+        S = _relabel(T, _assignment_order(T))
         for m in range(4):
             for even in (False, True):
                 counter = _Nodes()
-                found = _level_search(T, m, counter=counter, even=even)
+                found = _level_search(S, m, counter=counter, even=even)
                 vecs = "-" if found is None else ",".join(map(str, found))
                 rows.append(f"{encode(T)} {m} {int(even)} {vecs} {counter.used}")
     assert len(rows) == 456 * 8
@@ -300,15 +322,17 @@ def test_even_weight_pass_against_zero_diag_rank_oracle():
     for T in graphs:
         best = min_zero_diag_decycling_rank(T.n, T.arcs())
         seen.add(best)
+        slots = _assignment_order(T)
+        S = _relabel(T, slots)
         for k in (2, 4):
-            found = _level_search(T, k + 1, counter=_Nodes(), even=True)
+            found = _level_search(S, k + 1, counter=_Nodes(), even=True)
             assert (found is not None) == (best <= k), (encode(T), k, best)
-            least = lex_least_assignment(T.n, T.arcs(), _assignment_order(T), k + 1, even=True)
+            least = lex_least_assignment(T.n, T.arcs(), slots, k + 1, even=True)
             assert found == least, (encode(T), k)
             if found is None:
                 continue
             assert all(x.bit_count() % 2 == 0 for x in found)
-            M = family_to_matrix(_family_from_assignment(T, k + 1, found))
+            M = family_to_matrix(_family(slots, k + 1, found))
             assert not any(M.diagonal()) and best <= rank(M) <= k
             flipped = arcs_apply_matrix(T.arcs(), M.to_lists())
             assert dfs_acyclic(OrientedGraph(T.n, sorted(flipped)))
