@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Optional
 
-from .decycling import Certificate, certificate_error
+from .decycling import Certificate, _json_int, _json_rows, certificate_error
 from .digraph import ParseError, VertexFamily, decode, dijoin, encode, njoin
 from .explorer import canonical_form, enumerate_tournaments, run_scan
 from .search import Inconclusive, SearchBudget, solve_inv, solve_tmr
@@ -104,9 +105,8 @@ def _cmd_njoin(args, out) -> int:
 def _cmd_extend(args, out) -> int:
     D = decode(args.graph)
     try:
-        sets = json.loads(args.family)
-        family = VertexFamily.from_sets(D.n, sets)
-    except (json.JSONDecodeError, TypeError) as exc:
+        family = VertexFamily.from_sets(D.n, _json_rows(json.loads(args.family), _json_int))
+    except (TypeError, ValueError) as exc:
         print(f"error: --family must be a JSON list of vertex lists ({exc})", file=out)
         return EXIT_USAGE
     try:
@@ -187,7 +187,9 @@ def _at_least(low: int):
     return count
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The invlab parser, built once per process: parsing never changes it."""
     count = _at_least(0)
     # the options of the commands that search; the others take none of them
     search = argparse.ArgumentParser(add_help=False)

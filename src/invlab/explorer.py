@@ -23,14 +23,18 @@ scope field.
 All four scans run through one driver, `_scan`.  A scan lists its jobs,
 (task, args) pairs over the tuples of tournament classes in its scope
 (`_class_tuples`), and a fold that turns the task results, in job order,
-into violations and evidence.  The driver runs the jobs in this process or
-in its one process pool, appends each result's inconclusive entries, and
-times the run.
+into violations and evidence.  The driver runs the jobs in this process,
+or with more workers forks the others and works as one of them (_fan_out:
+jobs are claimed through a pipe, results come back pickled over one pipe
+per child, and the design relies on Linux pipe semantics); then it appends
+each result's inconclusive entries and times the run.  No pool module is
+loaded, and the report is the same for any worker count apart from elapsed.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -246,22 +250,128 @@ def _run_job(job) -> dict:
     return task(args)
 
 
-def _scan(scope: dict, jobs: list, workers: int, fold) -> ScanReport:
-    """Run (task, args) jobs in order and fold their result dicts into one report.
+# A claim token is the index of a job's first run, in _TOKEN bytes.  All the
+# tokens go into one pipe in one write of at most a page, so the write never
+# blocks, and a Linux pipe read holds the pipe lock, so every token reaches
+# exactly one reader.
+_TOKEN = 4
+_MAX_TOKENS = 4096 // _TOKEN
 
-    A report checks one instance per job unless fold counts otherwise.  fold
-    fills the violations and the evidence; every result's "inconclusive"
-    entries follow the evidence, in job order.
+
+def _claimed(claims: int, jobs: list, step: int) -> Iterator[tuple[int, dict]]:
+    """(index, result) of every job in the runs of `step` jobs this process claims."""
+    while token := os.read(claims, _TOKEN):
+        if len(token) != _TOKEN:
+            raise RuntimeError(f"claim pipe returned a partial token {token!r}")
+        start = int.from_bytes(token, "little")
+        for i in range(start, min(start + step, len(jobs))):
+            yield i, _run_job(jobs[i])
+
+
+def _pickled_error(exc: Exception) -> bytes:
+    """exc, pickled with its traceback text as a note; a RuntimeError if exc does not unpickle."""
+    import pickle
+    import traceback
+
+    text = "".join(traceback.format_exception(exc))
+    exc.add_note(f"raised in scan worker {os.getpid()}:\n{text}")
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)
+        return data
+    except Exception:
+        return pickle.dumps(RuntimeError(text))
+
+
+def _worker(claims: int, jobs: list, step: int, out: int) -> None:
+    """A forked worker: claim and run jobs, pickle the (index, result) pairs to out, exit."""
+    code = 1
+    try:
+        import pickle
+
+        try:
+            data = pickle.dumps(list(_claimed(claims, jobs, step)))
+        except Exception as exc:
+            data = _pickled_error(exc)
+        with open(out, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fan_out(jobs: list, workers: int) -> list:
+    """The results of jobs, in job order, from this process and min(workers, len(jobs)) - 1 forks.
+
+    Jobs are claimed through one pipe of tokens (see _TOKEN), so a process
+    that draws light jobs claims more of them; over _MAX_TOKENS jobs, a
+    token names a run of consecutive jobs.  Each child pickles its pairs
+    back over its own pipe and ends through os._exit.  A child's exception,
+    or an exit with no data, is raised here; every child is reaped, and
+    killed first when anything raised.
+    """
+    import pickle
+
+    step = -(-len(jobs) // _MAX_TOKENS)
+    claims, w = os.pipe()
+    try:
+        os.write(w, b"".join(i.to_bytes(_TOKEN, "little") for i in range(0, len(jobs), step)))
+    finally:
+        os.close(w)
+    results: list = [None] * len(jobs)
+    children = []  # (pid, the read end of its result pipe)
+    done = False
+    try:
+        for _ in range(min(workers, len(jobs)) - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(claims, jobs, step, w)
+            except OSError:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)
+            children.append((pid, open(r, "rb")))
+        for i, res in _claimed(claims, jobs, step):
+            results[i] = res
+        for pid, fh in children:
+            data = fh.read()
+            if not data:
+                raise RuntimeError(f"scan worker {pid} exited without sending its results")
+            got = pickle.loads(data)
+            if isinstance(got, BaseException):
+                raise got
+            for i, res in got:
+                results[i] = res
+        done = True
+    finally:
+        os.close(claims)
+        for pid, fh in children:
+            fh.close()
+            if not done:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
+def _scan(scope: dict, jobs: list, workers: int, fold) -> ScanReport:
+    """Run (task, args) jobs and fold their result dicts, in job order, into one report.
+
+    With workers > 1 and more than one job, the jobs are shared between this
+    process and forked ones (_fan_out); the report is the same for any
+    workers apart from elapsed.  A report checks one instance per job unless
+    fold counts otherwise.  fold fills the violations and the evidence;
+    every result's "inconclusive" entries follow the evidence, in job order.
     """
     t0 = time.perf_counter()
     if workers <= 1 or len(jobs) <= 1:
         results = [_run_job(job) for job in jobs]
     else:
-        # imported here, so that solves and one-worker scans never load it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_job, jobs, chunksize=8))
+        results = _fan_out(jobs, workers)
     report = ScanReport(scope=scope, instances_checked=len(results))
     fold(report, results)
     report.evidence["inconclusive"] = [e for res in results for e in res["inconclusive"]]

@@ -255,12 +255,16 @@ def _search_tournament(n, out_slots, m, *, counter, even):
     vecs = [0] * n
     odd = [0] * n  # odd[t] = par[vecs[t]]
     order: list[int] = []  # assigned slots, transitive order, winners first
+    masks: dict[int, int] = {}  # tie -> allowed & _lex_allowed(m, tie)
 
     def dfs(i: int, tie: int) -> bool:
         if i == n:
             return True
         valid, chain = _placements(flip[i], order, odd, full)
-        valid &= allowed & _lex_allowed(m, tie)
+        mask = masks.get(tie)
+        if mask is None:
+            mask = masks[tie] = allowed & _lex_allowed(m, tie)
+        valid &= mask
         while valid:
             low = valid & -valid
             valid ^= low
@@ -472,7 +476,8 @@ def check_trichotomy(T: Tournament, budget: Optional[SearchBudget] = None) -> Tr
     # k succeeded, and inv = k+1 when only the even-weight pass did, whose
     # assignment has k+1 columns.  Either way the returned assignment
     # is a minimum decycling family, and its gram matrix is a minimum-rank
-    # decycling matrix.
+    # decycling matrix.  The gram matrix flips exactly the arcs the family
+    # inverts, so one flipped graph, and its order, serves both certificates.
     tmr_res = _tmr_result(T, k, family)
     return TrichotomyReport(
         encoding=encode(T),
@@ -480,7 +485,7 @@ def check_trichotomy(T: Tournament, budget: Optional[SearchBudget] = None) -> Tr
         tmr=tmr_res.value,
         transitive=is_acyclic(T),
         min_rank_nonzero_diag=tmr_res.min_rank_nonzero_diag,
-        inv_certificate=family_certificate(T, family),
+        inv_certificate=Certificate("family", family, family.m, tmr_res.certificate.order),
         tmr_certificate=tmr_res.certificate,
     )
 

@@ -183,6 +183,9 @@ def test_usage_errors_name_the_input():
     assert code == 2 and "n <= 8" in text
     code, text = run_cli("canonical", "3;0>1")
     assert code == 2
+    for family, token in (("{}", "{}"), ("[[true]]", "True"), ("[[0.5]]", "0.5")):
+        code, text = run_cli("extend", "3;0>1", "--family", family)
+        assert code == 2 and "--family" in text and token in text, family
 
 
 def test_tmr_certificate_checks_back(tmp_path):
@@ -234,15 +237,17 @@ def test_python_m_invlab_runs_the_cli():
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # explorer._scan imports its pool only when one runs, so a solve or a
-    # one-worker scan never loads the pool machinery
+    # explorer._scan forks its workers itself, so neither importing the CLI
+    # nor a two-worker scan loads the pool machinery
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     heavy = ("concurrent.futures", "multiprocessing", "logging")
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import invlab.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    scan = ["scan", "tmr-additivity", "--n1", "3", "--n2", "3", "--workers", "2"]
+    for code in ("import invlab.cli", f"import invlab.cli, io; invlab.cli.main({scan!r}, io.StringIO())"):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"{code}; import sys; print([m for m in {heavy!r} if m in sys.modules])"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", code

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -284,12 +285,77 @@ def test_theorem_checks_reduce_oriented_operands_to_tournaments():
     assert all(c["expected"] == c["observed"] for c in res["checks"])
 
 
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_scans_parallel_match_sequential():
-    seq = scan_tmr_additivity(3, 3)
-    par = scan_tmr_additivity(3, 3, workers=2)
-    assert seq.violations == par.violations
-    assert seq.evidence == par.evidence
-    assert seq.instances_checked == par.instances_checked
+    # the forked workers run first, from the caller's caches as they stand
+    for scan in (
+        lambda workers: verify_dijoin_theorems(max_each=3, workers=workers),
+        lambda workers: scan_tmr_additivity(4, 4, workers=workers),
+        lambda workers: scan_inv_lower_bound(4, 3, workers=workers),
+        lambda workers: scan_schur_3x3(2, workers=workers),
+    ):
+        par = scan(2).to_json_dict()
+        _assert_no_children()
+        seq = scan(1).to_json_dict()
+        assert par.pop("elapsed") > 0 and seq.pop("elapsed") > 0
+        assert par == seq, par["scope"]
+
+
+def test_fan_out_keeps_job_order():
+    # over _MAX_TOKENS jobs a token claims a run; more workers than jobs
+    # fork one child per job beyond the caller's
+    for count, workers in ((3 * explorer._MAX_TOKENS + 5, 3), (2, 5)):
+        jobs = [(lambda i: {"index": i}, i) for i in range(count)]
+        assert explorer._fan_out(jobs, workers) == [{"index": i} for i in range(count)]
+        _assert_no_children()
+
+
+def _fold(report, results):
+    pass
+
+
+@pytest.mark.parametrize("failure, error, text", [
+    (lambda: ValueError("job failed in a worker"), ValueError, "job failed in a worker"),
+    # Inconclusive does not unpickle from its args, so its traceback comes back as text
+    (lambda: explorer.Inconclusive(1, None, "x"), RuntimeError, "Inconclusive: inconclusive"),
+    (lambda: os._exit(3), RuntimeError, "exited without sending its results"),
+])
+def test_a_worker_failure_raises_from_scan(tmp_path, failure, error, text):
+    caller = os.getpid()
+    claimed = tmp_path / "claimed"
+
+    def task(i):
+        if os.getpid() != caller:
+            claimed.touch()
+            raise failure()
+        # the caller holds its first job until the worker has claimed one
+        deadline = time.monotonic() + 30
+        while not claimed.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return {"inconclusive": []}
+
+    with pytest.raises(error, match=text):
+        explorer._scan({}, [(task, i) for i in range(20)], 2, _fold)
+    _assert_no_children()
+
+
+def test_a_caller_failure_kills_the_workers():
+    caller = os.getpid()
+
+    def task(i):
+        if os.getpid() == caller:
+            raise ValueError("job failed in the caller")
+        time.sleep(60)
+
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="failed in the caller"):
+        explorer._scan({}, [(task, i) for i in range(4)], 3, _fold)
+    _assert_no_children()
+    assert time.perf_counter() - started < 30
 
 
 def test_internal_schur_probe_matches_public_probe():

@@ -158,6 +158,30 @@ def test_check_trichotomy_gap_instance():
     assert verify_certificate(T, r.tmr_certificate)
 
 
+def test_check_trichotomy_sorts_one_flipped_graph(monkeypatch):
+    # the gram matrix flips exactly the arcs the family inverts, so both
+    # certificates share the order of one topological pass
+    from invlab import decycling
+
+    passes = []
+    sort = decycling._topological_order_or_none
+
+    def counted(D):
+        passes.append(D)
+        return sort(D)
+
+    monkeypatch.setattr(decycling, "_topological_order_or_none", counted)
+    gap = decode("10:010100000111011100001001111110010000111110100")
+    seeded = [Tournament(n, random.Random(n).getrandbits(pair_count(n))) for n in range(1, 12)]
+    for T in [gap, C3] + seeded:
+        passes.clear()
+        r = check_trichotomy(T)
+        assert len(passes) == 1, encode(T)
+        assert r.inv_certificate.order == r.tmr_certificate.order
+        assert verify_certificate(T, r.inv_certificate)
+        assert verify_certificate(T, r.tmr_certificate)
+
+
 def test_verify_certificate_examples():
     good = Certificate("family", VertexFamily.from_sets(3, [[0, 1]]), 1, (1, 2, 0))
     assert verify_certificate(C3, good)
