@@ -20,15 +20,30 @@ build-stopping) from "evidence" (conjecture probes, where a counterexample
 is a discovery, not a failure), and every report replays exactly from its
 scope field.
 
-All four scans run through one driver, `_scan`.  A scan lists its jobs,
-(task, args) pairs over the tuples of tournament classes in its scope
-(`_class_tuples`), and a fold that turns the task results, in job order,
-into violations and evidence.  The driver runs the jobs in this process,
-or with more workers forks the others and works as one of them (_fan_out:
-jobs are claimed through a pipe, results come back pickled over one pipe
-per child, and the design relies on Linux pipe semantics); then it appends
-each result's inconclusive entries and times the run.  No pool module is
-loaded, and the report is the same for any worker count apart from elapsed.
+A scan lists its jobs, (task, args) pairs over the tuples of tournament
+classes in its scope (`_class_tuples`), and a fold that turns the task
+results, in job order, into violations and evidence.  One runner, `_run`,
+runs the jobs in this process, or with more workers forks the others and
+works as one of them (_fan_out: jobs are claimed through a pipe, results
+come back pickled over one pipe per child, and the design relies on Linux
+pipe semantics).  No pool module is loaded, and the report is the same for
+any worker count apart from elapsed.  The theorem and Schur scans run one
+job per tuple through `_scan`, which appends each result's inconclusive
+entries and times the run.
+
+The two pair scans (tmr additivity and the inv lower bound) ask each
+question once, through `_pair_scan`.  Every operand class is answered
+first, by one check_trichotomy.  A tournament is the n-join of its strong
+components, so the canonical forms of the components of D1 -> D2, winners
+first, are an exact isomorphism key; reversing every arc keeps inv and tmr
+and maps D1 -> D2 to D2^c -> D1^c, so a join question is keyed by the
+lesser of the two keys.  Each distinct key is one job, and its search stops
+at the operands' bound: the union of their minimum families decycles the
+dijoin (no cross arc lies on a cycle), so the level of inv(D1) + inv(D2),
+or of tmr(D1) + tmr(D2), is replayed from that union instead of searched.
+A node limit therefore applies to each question's search, and a question
+that runs out leaves every pair with its key inconclusive.  The folds stay
+per pair.
 """
 
 from __future__ import annotations
@@ -41,19 +56,34 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .decycling import is_decycling_matrix
+from .decycling import (
+    family_certificate,
+    family_to_matrix,
+    is_decycling_matrix,
+    matrix_certificate,
+)
 from .digraph import (
     Tournament,
+    VertexFamily,
     decode,
     dijoin,
     encode,
     induced,
     njoin,
     pair_count,
+    reverse,
     transitive_tournament,
 )
 from .gf2 import MatGF2, SymMatGF2, _trusted_sym, full_rank_principal, schur_update
-from .search import Inconclusive, SearchBudget, check_trichotomy, solve_inv, solve_tmr
+from .search import (
+    Inconclusive,
+    SearchBudget,
+    TrichotomyReport,
+    _levels,
+    check_trichotomy,
+    solve_inv,
+    solve_tmr,
+)
 
 REPORT_SCHEMA = "invlab.scan-report/1"
 
@@ -219,9 +249,13 @@ def _inv_value(enc: str, node_limit: Optional[int] = None) -> int:
 
 
 @lru_cache(maxsize=None)
+def _trichotomy(enc: str, node_limit: Optional[int] = None) -> TrichotomyReport:
+    return check_trichotomy(decode(enc), SearchBudget(node_limit=node_limit))
+
+
 def _tmr_result(enc: str, node_limit: Optional[int] = None):
     """(tmr, min_rank_nonzero_diag, inv), all read off one rank-pass search."""
-    res = check_trichotomy(decode(enc), SearchBudget(node_limit=node_limit))
+    res = _trichotomy(enc, node_limit)
     return res.tmr, res.min_rank_nonzero_diag, res.inv
 
 
@@ -358,20 +392,28 @@ def _fan_out(jobs: list, workers: int) -> list:
     return results
 
 
+def _run(jobs: list, workers: int) -> list:
+    """The results of (task, args) jobs, in job order.
+
+    With workers > 1 and more than one job, the jobs are shared between this
+    process and forked ones (_fan_out); the results are the same for any
+    workers.
+    """
+    if workers <= 1 or len(jobs) <= 1:
+        return [_run_job(job) for job in jobs]
+    return _fan_out(jobs, workers)
+
+
 def _scan(scope: dict, jobs: list, workers: int, fold) -> ScanReport:
     """Run (task, args) jobs and fold their result dicts, in job order, into one report.
 
-    With workers > 1 and more than one job, the jobs are shared between this
-    process and forked ones (_fan_out); the report is the same for any
-    workers apart from elapsed.  A report checks one instance per job unless
-    fold counts otherwise.  fold fills the violations and the evidence;
-    every result's "inconclusive" entries follow the evidence, in job order.
+    The report is the same for any workers apart from elapsed (_run).  A
+    report checks one instance per job unless fold counts otherwise.  fold
+    fills the violations and the evidence; every result's "inconclusive"
+    entries follow the evidence, in job order.
     """
     t0 = time.perf_counter()
-    if workers <= 1 or len(jobs) <= 1:
-        results = [_run_job(job) for job in jobs]
-    else:
-        results = _fan_out(jobs, workers)
+    results = _run(jobs, workers)
     report = ScanReport(scope=scope, instances_checked=len(results))
     fold(report, results)
     report.evidence["inconclusive"] = [e for res in results for e in res["inconclusive"]]
@@ -487,22 +529,121 @@ def verify_dijoin_theorems(
 
 
 # ---------------------------------------------------------------------------
-# tmr additivity scan
+# pair scans: one search per operand class and per join question
 
 
-def _tmr_pair_task(args) -> dict:
-    enc1, enc2, node_limit = args
-    out = {"pair": [enc1, enc2], "inconclusive": []}
-    joined = encode(dijoin(decode(enc1), decode(enc2)))
+def _components(T: Tournament) -> list[list[int]]:
+    """The strong components of T, winners first.
+
+    Taken by descending score, the first k vertices beat all the others
+    exactly when their scores sum to k(k-1)/2 + k(n-k); those cuts separate
+    the components.
+    """
+    n = T.n
+    by_score = sorted(range(n), key=lambda v: -T.out[v].bit_count())
+    comps, comp, total = [], [], 0
+    for k, v in enumerate(by_score, 1):
+        comp.append(v)
+        total += T.out[v].bit_count()
+        if total == k * (k - 1) // 2 + k * (n - k):
+            comps.append(comp)
+            comp = []
+    return comps
+
+
+def _component_key(T: Tournament) -> tuple[str, ...]:
+    """The canonical forms of T's strong components, winners first.
+
+    A tournament is the n-join of its strong components, so two tournaments
+    are isomorphic exactly when their keys are equal, and the key of
+    dijoin(D1, D2) is the key of D1 followed by the key of D2.
+    """
+    return tuple(canonical_form(induced(T, comp)) for comp in _components(T))
+
+
+def _operand(enc: str, node_limit: Optional[int]):
+    """(check_trichotomy report, key, converse key) of a class, or why its search ran out."""
     try:
-        t1 = _tmr_result(enc1, node_limit)[0]
-        t2 = _tmr_result(enc2, node_limit)[0]
-        tj = _tmr_result(joined, node_limit)[0]
+        rep = _trichotomy(enc, node_limit)
     except Inconclusive as exc:
-        out["inconclusive"].append({"instance": [enc1, enc2], "reason": exc.reason})
-        return out
-    out.update({"tmr1": t1, "tmr2": t2, "tmr_dijoin": tj, "dijoin": joined})
-    return out
+        return exc.reason
+    T = decode(enc)
+    return rep, _component_key(T), _component_key(reverse(T))
+
+
+def _join_task(args) -> int | str:
+    """The value of dijoin(D1, D2), or the reason its search ran out: tmr with rank_pass, else inv.
+
+    The union of the operands' minimum families (D2's sets shifted by n1)
+    decycles the dijoin, since every cross arc runs from D1 to D2 and so lies
+    on no cycle.  It has inv(D1) + inv(D2) sets, and its gram matrix is block
+    diagonal of rank tmr(D1) + tmr(D2), so the level loop stops at that sum
+    and the union is replayed instead of searched.
+    """
+    enc1, rep1, enc2, rep2, rank_pass, node_limit = args
+    D1, D2 = decode(enc1), decode(enc2)
+    J = dijoin(D1, D2)
+    low, high = rep1.inv_certificate.payload, rep2.inv_certificate.payload
+    union = VertexFamily(J.n, low.sets + tuple(frozenset(v + D1.n for v in s) for s in high.sets))
+    bound = rep1.tmr + rep2.tmr if rank_pass else union.m
+    try:
+        k, family = _levels(J, SearchBudget(node_limit=node_limit), rank_pass, (bound, union))
+    except Inconclusive as exc:
+        return exc.reason
+    if family is union:
+        # both raise when the union does not decycle J
+        if rank_pass:
+            if matrix_certificate(J, family_to_matrix(union)).value != bound:
+                raise AssertionError("the operands' union misses their tmr bound")
+        else:
+            family_certificate(J, union)
+    return k
+
+
+def _pair_scan(scope: dict, rank_pass: bool, workers: int, fold) -> ScanReport:
+    """Run a scan over the pairs (D1, D2) of classes, asking every question once.
+
+    The operands are answered first, then one _join_task per join key (see
+    the module docstring).  fold(report, rows) gets (pair, D1's report, D2's
+    report, the dijoin's value) for each conclusive pair, in pair order; the
+    inconclusive pairs follow the evidence, in pair order.
+    """
+    t0 = time.perf_counter()
+    node_limit = scope["node_limit"]
+    sizes = [range(1, scope["n1"] + 1), range(1, scope["n2"] + 1)]
+    operands: dict = {}  # class -> _operand
+    keys: dict = {}
+    jobs = []
+    index = []  # per pair: the job of its key, or -1 when an operand ran out
+    for e1, e2 in _class_tuples(sizes, scope["max_total"]):
+        for enc in (e1, e2):
+            if enc not in operands:
+                operands[enc] = _operand(enc, node_limit)
+        a, b = operands[e1], operands[e2]
+        if isinstance(a, str) or isinstance(b, str):
+            index.append(-1)
+            continue
+        ix = keys.setdefault(min(a[1] + b[1], b[2] + a[2]), len(jobs))
+        if ix == len(jobs):
+            jobs.append((_join_task, (e1, a[0], e2, b[0], rank_pass, node_limit)))
+        index.append(ix)
+    values = _run(jobs, workers)
+    inconclusive = []
+
+    def rows():
+        for (e1, e2), ix in zip(_class_tuples(sizes, scope["max_total"]), index):
+            a, b = operands[e1], operands[e2]
+            got = a if isinstance(a, str) else b if isinstance(b, str) else values[ix]
+            if isinstance(got, str):
+                inconclusive.append({"instance": [e1, e2], "reason": got})
+            else:
+                yield [e1, e2], a[0], b[0], got
+
+    report = ScanReport(scope=scope, instances_checked=len(index))
+    fold(report, rows())
+    report.evidence["inconclusive"] = inconclusive
+    report.elapsed = time.perf_counter() - t0
+    return report
 
 
 def scan_tmr_additivity(
@@ -526,36 +667,28 @@ def scan_tmr_additivity(
         "max_total": max_total,
         "node_limit": node_limit,
     }
-    jobs = [
-        (_tmr_pair_task, (e1, e2, node_limit))
-        for e1, e2 in _class_tuples([range(1, n1 + 1), range(1, n2 + 1)], max_total)
-    ]
 
-    def fold(report, results):
+    def fold(report, rows):
         asserted = evidence_pairs = equal = 0
         counterexamples = []
-        for res in results:
-            if "tmr1" not in res:
-                continue
-            t1, t2, tj = res["tmr1"], res["tmr2"], res["tmr_dijoin"]
+        for pair, rep1, rep2, tj in rows:
+            t1, t2 = rep1.tmr, rep2.tmr
             additive = tj == t1 + t2
             if t1 in (1, 2):
                 asserted += 1
                 if not additive:
-                    report.violations.append(
-                        _check("tmr-additivity-asserted", res["pair"], t1 + t2, tj)
-                    )
+                    report.violations.append(_check("tmr-additivity-asserted", pair, t1 + t2, tj))
             else:
                 evidence_pairs += 1
                 if additive:
                     equal += 1
                 else:
                     budget = SearchBudget(node_limit=node_limit)
-                    cert = solve_tmr(decode(res["dijoin"]), budget).certificate
+                    cert = solve_tmr(dijoin(*map(decode, pair)), budget).certificate
                     counterexamples.append(
                         {
-                            "d1": res["pair"][0],
-                            "d2": res["pair"][1],
+                            "d1": pair[0],
+                            "d2": pair[1],
                             "tmr1": t1,
                             "tmr2": t2,
                             "tmr_dijoin": tj,
@@ -569,24 +702,7 @@ def scan_tmr_additivity(
             "counterexamples": counterexamples,
         }
 
-    return _scan(scope, jobs, workers, fold)
-
-
-# ---------------------------------------------------------------------------
-# inv lower-bound conjecture scan
-
-
-def _inv_bound_pair_task(args) -> dict:
-    enc1, enc2, node_limit = args
-    out = {"pair": [enc1, enc2], "inconclusive": []}
-    joined = encode(dijoin(decode(enc1), decode(enc2)))
-    try:
-        out["tmr1"], _, out["inv1"] = _tmr_result(enc1, node_limit)
-        out["tmr2"], _, out["inv2"] = _tmr_result(enc2, node_limit)
-        out["inv_dijoin"] = _inv_value(joined, node_limit)
-    except Inconclusive as exc:
-        out["inconclusive"].append({"instance": [enc1, enc2], "reason": exc.reason})
-    return out
+    return _pair_scan(scope, True, workers, fold)
 
 
 def scan_inv_lower_bound(
@@ -610,12 +726,8 @@ def scan_inv_lower_bound(
         "max_total": max_total,
         "node_limit": node_limit,
     }
-    jobs = [
-        (_inv_bound_pair_task, (e1, e2, node_limit))
-        for e1, e2 in _class_tuples([range(1, n1 + 1), range(1, n2 + 1)], max_total)
-    ]
 
-    def fold(report, results):
+    def fold(report, rows):
         cells = {
             "equality_and_condition": 0,
             "equality_no_condition": 0,
@@ -623,26 +735,23 @@ def scan_inv_lower_bound(
             "strict_no_condition": 0,
         }
         bound_failures = []
-        for res in results:
-            if "inv_dijoin" not in res:
-                continue
-            lo = res["inv1"] + res["inv2"] - 1
-            observed = res["inv_dijoin"]
+        for pair, rep1, rep2, observed in rows:
+            lo = rep1.inv + rep2.inv - 1
             if observed < lo:
-                entry = _check("inv-lower-bound", res["pair"], f">= {lo}", observed)
-                if res["inv1"] == 2:
+                entry = _check("inv-lower-bound", pair, f">= {lo}", observed)
+                if rep1.inv == 2:
                     report.violations.append(entry)  # theorem-backed here
                 else:
                     bound_failures.append(entry)  # conjecture counterexample
                 continue
-            condition = (res["inv1"] == res["tmr1"] + 1) or (res["inv2"] == res["tmr2"] + 1)
+            condition = rep1.inv == rep1.tmr + 1 or rep2.inv == rep2.tmr + 1
             key = ("equality" if observed == lo else "strict") + (
                 "_and_condition" if condition else "_no_condition"
             )
             cells[key] += 1
         report.evidence = {"equality_cells": cells, "bound_counterexamples": bound_failures}
 
-    return _scan(scope, jobs, workers, fold)
+    return _pair_scan(scope, False, workers, fold)
 
 
 # ---------------------------------------------------------------------------

@@ -57,22 +57,6 @@ class MatGF2:
                 r &= r - 1
         return MatGF2(self.ncols, self.nrows, cols)
 
-    def mul(self, other: "MatGF2") -> "MatGF2":
-        if self.ncols != other.nrows:
-            raise ValueError(
-                f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
-            )
-        out = []
-        for r in self.rows:
-            acc = 0
-            rr = r
-            while rr:
-                j = (rr & -rr).bit_length() - 1
-                acc ^= other.rows[j]
-                rr &= rr - 1
-            out.append(acc)
-        return MatGF2(self.nrows, other.ncols, out)
-
     def __eq__(self, other):
         return (
             isinstance(other, MatGF2)

@@ -112,6 +112,10 @@ class Inconclusive(Exception):
         bound = f">= {lower}" if upper is None else f"in [{lower}, {upper}]"
         super().__init__(f"inconclusive ({reason}); value {bound}")
 
+    def __reduce__(self):
+        # rebuild through __init__, and keep what was set since (such as notes)
+        return type(self), (self.lower, self.upper, self.reason), self.__dict__
+
 
 class InvResult(NamedTuple):
     value: int
@@ -349,7 +353,10 @@ def _max_useful_m(D: OrientedGraph) -> int:
 
 
 def _levels(
-    D: OrientedGraph, budget: SearchBudget, rank_pass: bool
+    D: OrientedGraph,
+    budget: SearchBudget,
+    rank_pass: bool,
+    upper: Optional[tuple[int, VertexFamily]] = None,
 ) -> tuple[int, VertexFamily]:
     """The first level k with a decycling assignment: (k, its family on D).
 
@@ -359,6 +366,10 @@ def _levels(
     where that fails also try width k+1 with even-weight vectors only, whose
     gram matrices are the zero-diagonal ones of rank <= k (see the module
     docstring), and a success there has k+1 sets.
+
+    upper = (u, family) is a value the caller already holds a witness for:
+    on reaching level u the loop returns upper without searching it.  The
+    family is not checked here; the caller must replay it before use.
     """
     counter = _Nodes(budget.node_limit)
     hard_cap = _max_useful_m(D)
@@ -366,6 +377,8 @@ def _levels(
     S = _relabel(D, slots)
     k = 0
     while True:
+        if upper is not None and k == upper[0]:
+            return upper
         try:
             found = _level_search(S, k, counter=counter)
             if found is not None:

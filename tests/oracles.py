@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from invlab import OrientedGraph, VertexFamily, invert
+from invlab import MatGF2, OrientedGraph, VertexFamily, invert
 
 
 def kernel_count_rank(rows: list[list[int]]) -> int:
@@ -65,6 +65,18 @@ def naive_inv(D: OrientedGraph, max_m: int = 2):
             if dfs_acyclic(invert(D, family)):
                 return m
     return None
+
+
+def mat_mul(A: MatGF2, B: MatGF2) -> MatGF2:
+    """The product A B over GF(2), entry by entry from the row lists."""
+    if A.ncols != B.nrows:
+        raise ValueError(f"cannot multiply {A.nrows}x{A.ncols} by {B.nrows}x{B.ncols}")
+    a, b = A.to_lists(), B.to_lists()
+    rows = [
+        [sum(a[i][k] & b[k][j] for k in range(A.ncols)) % 2 for j in range(B.ncols)]
+        for i in range(A.nrows)
+    ]
+    return MatGF2.from_rows(rows, B.ncols)
 
 
 def gram_by_lists(rows: list[list[int]]) -> list[list[int]]:
@@ -127,6 +139,20 @@ def arcs_dijoin(n1, arcs1, n2, arcs2):
     """D1's arcs, D2's arcs shifted by n1, and every cross arc from D1 to D2."""
     cross = {(u, v) for u in range(n1) for v in range(n1, n1 + n2)}
     return set(arcs1) | {(u + n1, v + n1) for u, v in arcs2} | cross
+
+
+def arcs_strong_components(n, arcs):
+    """The strong components of a tournament, winners first, from reachability on the arcs."""
+    reach = [{v} for v in range(n)]
+    for u, v in arcs:
+        reach[u].add(v)
+    for k in range(n):
+        for u in range(n):
+            if k in reach[u]:
+                reach[u] |= reach[k]
+    comps = {frozenset(v for v in reach[u] if u in reach[v]) for u in range(n)}
+    # a component reaches every later one, so winners reach the most
+    return sorted((sorted(c) for c in comps), key=lambda c: -len(reach[c[0]]))
 
 
 def arcs_induced(arcs, order):

@@ -1,4 +1,7 @@
+import hashlib
+import io
 import itertools
+import json
 import math
 import os
 import random
@@ -19,6 +22,7 @@ from invlab import (
     enumerate_tournaments,
     family_to_matrix,
     replay,
+    reverse,
     run_scan,
     scan_inv_lower_bound,
     scan_schur_3x3,
@@ -28,7 +32,7 @@ from invlab import (
     verify_dijoin_theorems,
     VertexFamily,
 )
-from invlab import explorer
+from invlab import cli, explorer
 from invlab.explorer import _decycling_flips, _dijoin_pair_task, _tmr_result
 from oracles import brute_canonical
 
@@ -174,24 +178,134 @@ def test_scan_tmr_additivity_small():
     assert report.evidence["evidence_equal"] == report.evidence["evidence_pairs"]
 
 
+def _record_searches(monkeypatch):
+    """Record every operand search and every level loop the pair scans make."""
+    operands, joins = [], []
+    real_check, real_levels = explorer.check_trichotomy, explorer._levels
+
+    def check(T, budget=None):
+        operands.append(encode(T))
+        return real_check(T, budget)
+
+    def levels(D, budget, rank_pass, upper=None):
+        joins.append((D, rank_pass, upper))
+        return real_levels(D, budget, rank_pass, upper)
+
+    monkeypatch.setattr(explorer, "check_trichotomy", check)
+    monkeypatch.setattr(explorer, "_levels", levels)
+    monkeypatch.setattr(explorer, "solve_inv", None)
+    monkeypatch.setattr(explorer, "solve_tmr", None)
+    explorer._trichotomy.cache_clear()
+    return operands, joins
+
+
 def test_inv_bound_pair_task_searches_each_operand_once(monkeypatch):
-    # inv of each operand is read off its rank-pass search, so solve_inv sees
-    # only the dijoin
-    solved = []
-    real = explorer.solve_inv
-
-    def recording(D, budget=None):
-        solved.append(encode(D))
-        return real(D, budget)
-
-    monkeypatch.setattr(explorer, "solve_inv", recording)
-    explorer._inv_value.cache_clear()
-    explorer._tmr_result.cache_clear()
+    # each operand class is answered once, by check_trichotomy, and each join
+    # question once, by one bounded level loop on the dijoin
+    operands, joins = _record_searches(monkeypatch)
+    report = scan_inv_lower_bound(4, 3)
+    assert report.instances_checked == 8 * 4 and report.inconclusive == []
+    assert sorted(operands) == sorted(e for n in range(1, 5) for e in explorer._class_encodings(n))
+    questions = {
+        frozenset({canonical_form(J), canonical_form(reverse(J))})
+        for J in (dijoin(decode(e1), decode(e2)) for e1, e2 in explorer._class_tuples(
+            [range(1, 5), range(1, 4)]))
+    }
+    assert len(joins) == len(questions) == len(
+        {frozenset({canonical_form(J), canonical_form(reverse(J))}) for J, _, _ in joins}
+    )
+    assert all(not rank_pass and upper is not None for _, rank_pass, upper in joins)
+    # one job: the operands' reports in, the dijoin's inv out, one loop
+    operands.clear()
+    joins.clear()
     enc1, enc2 = "3:101", "5:1010110100"
-    out = explorer._inv_bound_pair_task((enc1, enc2, None))
-    assert out["inconclusive"] == []
-    assert (out["inv1"], out["inv2"]) == (real(decode(enc1)).value, real(decode(enc2)).value)
-    assert solved == [encode(dijoin(decode(enc1), decode(enc2)))]
+    rep1, rep2 = explorer._trichotomy(enc1), explorer._trichotomy(enc2)
+    J = dijoin(decode(enc1), decode(enc2))
+    assert explorer._join_task((enc1, rep1, enc2, rep2, False, None)) == solve_inv(J).value
+    assert operands == [enc1, enc2] and [encode(D) for D, _, _ in joins] == [encode(J)]
+
+
+def test_join_task_stops_at_the_operands_bound_on_a_gap_operand(monkeypatch):
+    # D2 has inv 3 and tmr 2, so the two questions have different bounds:
+    # tmr stops at 1 + 2 and returns the replayed union, while inv, bound by
+    # 1 + 3, finds its value 3 below the bound through the search
+    gap = "10:010100000111011100001001111110010000111110100"
+    returned = []
+    real = explorer._levels
+
+    def levels(D, budget, rank_pass, upper=None):
+        k, family = real(D, budget, rank_pass, upper)
+        returned.append((rank_pass, upper[0], k, family is upper[1]))
+        return k, family
+
+    monkeypatch.setattr(explorer, "_levels", levels)
+    rep1, rep2 = explorer._trichotomy("3:101"), explorer._trichotomy(gap)
+    for rank_pass in (True, False):
+        assert explorer._join_task(("3:101", rep1, gap, rep2, rank_pass, None)) == 3
+    assert returned == [(True, 3, 3, True), (False, 4, 3, False)]
+
+
+def test_join_key_is_exact_for_tournaments():
+    # every ordered pair of classes with n1 + n2 <= 8: the key of the dijoin
+    # is the operands' keys in turn, equal keys mean isomorphic dijoins and
+    # back, and the converse key is the key of the reversed dijoin
+    key_of, form_of = {}, {}
+    for e1, e2 in explorer._class_tuples([range(1, 8)] * 2, 8):
+        D1, D2 = decode(e1), decode(e2)
+        J = dijoin(D1, D2)
+        key = explorer._component_key(D1) + explorer._component_key(D2)
+        assert key == explorer._component_key(J)
+        converse = explorer._component_key(reverse(D2)) + explorer._component_key(reverse(D1))
+        assert converse == explorer._component_key(decode(canonical_form(reverse(J))))
+        form = canonical_form(J)
+        assert key_of.setdefault(form, key) == key
+        assert form_of.setdefault(key, form) == form
+    # every tournament that is not strong is one dijoin: sum over n = 2..8 of
+    # A000568(n) - A051337(n), the classes less the strong ones
+    assert len(key_of) == len(form_of) == 1 + 1 + 3 + 6 + 21 + 103 + 872
+
+
+def test_pair_scans_search_each_join_question_once(monkeypatch):
+    # 5x5 has 400 pairs and 181 questions up to isomorphism and converse, 5x4 160 and 103
+    _, joins = _record_searches(monkeypatch)
+    for n1, n2, pairs, questions in ((5, 5, 400, 181), (5, 4, 160, 103)):
+        joins.clear()
+        assert scan_tmr_additivity(n1, n2).instances_checked == pairs
+        assert len(joins) == questions
+        assert all(rank_pass and upper is not None for _, rank_pass, upper in joins)
+
+
+def test_a_node_limit_applies_per_join_question():
+    # pairs with one question share its outcome, and inconclusive pairs keep
+    # pair order and the entry format
+    report = scan_tmr_additivity(4, 4, node_limit=10)
+    pairs = list(explorer._class_tuples([range(1, 5)] * 2))
+    position = {pair: i for i, pair in enumerate(pairs)}
+    out = [tuple(e["instance"]) for e in report.inconclusive]
+    assert 0 < len(out) < len(pairs) and out == sorted(out, key=position.get)
+    assert all(set(e) == {"instance", "reason"} for e in report.inconclusive)
+    status = {}
+    for e1, e2 in pairs:
+        J = dijoin(decode(e1), decode(e2))
+        question = frozenset({canonical_form(J), canonical_form(reverse(J))})
+        assert status.setdefault(question, (e1, e2) in out) == ((e1, e2) in out)
+
+
+# sha256 of the --json reports without "elapsed", recorded before the pair
+# scans keyed their join questions
+PAIR_SCAN_SHA256 = {
+    "tmr-additivity": "7c3c7b76ae267c4bbaac12d5b527814c335acc4656b2a428f47957524e7c430f",
+    "inv-lower-bound": "d6e38bd41059f3e1461226639aba36834e34493aeb51f04c750723e3eda6cc72",
+}
+
+
+@pytest.mark.parametrize("scan", sorted(PAIR_SCAN_SHA256))
+def test_pair_scan_reports_match_recorded(scan):
+    buf = io.StringIO()
+    assert cli.main(["scan", scan, "--n1", "5", "--n2", "4", "--json"], out=buf) == 0
+    report = json.loads(buf.getvalue())
+    report.pop("elapsed")
+    assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == PAIR_SCAN_SHA256[scan]
 
 
 def test_scan_inv_lower_bound_small():
@@ -320,8 +434,7 @@ def _fold(report, results):
 
 @pytest.mark.parametrize("failure, error, text", [
     (lambda: ValueError("job failed in a worker"), ValueError, "job failed in a worker"),
-    # Inconclusive does not unpickle from its args, so its traceback comes back as text
-    (lambda: explorer.Inconclusive(1, None, "x"), RuntimeError, "Inconclusive: inconclusive"),
+    (lambda: explorer.Inconclusive(1, None, "x"), explorer.Inconclusive, "value >= 1"),
     (lambda: os._exit(3), RuntimeError, "exited without sending its results"),
 ])
 def test_a_worker_failure_raises_from_scan(tmp_path, failure, error, text):
@@ -338,9 +451,12 @@ def test_a_worker_failure_raises_from_scan(tmp_path, failure, error, text):
             time.sleep(0.001)
         return {"inconclusive": []}
 
-    with pytest.raises(error, match=text):
+    with pytest.raises(error, match=text) as info:
         explorer._scan({}, [(task, i) for i in range(20)], 2, _fold)
     _assert_no_children()
+    if error is explorer.Inconclusive:
+        assert (info.value.lower, info.value.upper, info.value.reason) == (1, None, "x")
+        assert "raised in scan worker" in info.value.__notes__[0]
 
 
 def test_a_caller_failure_kills_the_workers():

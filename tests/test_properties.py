@@ -5,7 +5,8 @@ arc-list oracles in oracles.py, which never read the library's rows.  The
 search's candidate sets are compared with the per-vector placement rule,
 canonical forms are checked for invariance under relabelling, and solver
 certificates are checked to survive a JSON round trip and to reject
-tampering.
+tampering.  The pair scans' join keys are checked against a reachability
+oracle, and their bounded level loop against the unbounded solvers.
 """
 
 import json
@@ -26,6 +27,7 @@ from invlab import (
     encode,
     induced,
     invert,
+    njoin,
     reverse,
     solve_inv,
     solve_tmr,
@@ -33,9 +35,12 @@ from invlab import (
 )
 from invlab.decycling import apply_matrix
 from invlab.digraph import _relabel
+from invlab.explorer import _component_key, _components
 from invlab.search import (
+    SearchBudget,
     _assignment_order,
     _level_search,
+    _levels,
     _lex_allowed,
     _Nodes,
     _parity_sets,
@@ -47,6 +52,7 @@ from oracles import (
     arcs_induced,
     arcs_invert,
     arcs_reverse,
+    arcs_strong_components,
     lex_least_assignment,
     naive_inv,
     place_position,
@@ -272,3 +278,52 @@ def test_certificates_round_trip_json_and_reject_tampering(graph, data):
                                       unique=True))
             wrong["order"][i], wrong["order"][j] = wrong["order"][j], wrong["order"][i]
             assert not verify_certificate(T, Certificate.from_json_dict(wrong))
+
+
+@settings(deadline=None)
+@given(arc_lists(max_n=10, tournament=True), st.data())
+def test_components_match_reachability_oracle(graph, data):
+    # winners first, and the key is a relabelling invariant
+    n, arcs = graph
+    T = OrientedGraph(n, arcs)
+    assert [sorted(c) for c in _components(T)] == arcs_strong_components(n, arcs)
+    if n <= 8:
+        perm = data.draw(st.permutations(range(n)))
+        relabelled = OrientedGraph(n, [(perm[u], perm[v]) for u, v in arcs])
+        assert _component_key(relabelled) == _component_key(T)
+
+
+@st.composite
+def join_operands(draw, max_total=10):
+    """Two or three nonempty tournaments with at most max_total vertices in all."""
+    k = draw(st.integers(2, 3))
+    graphs = draw(st.lists(arc_lists(max_n=max_total // k, tournament=True).filter(
+        lambda g: g[0] >= 1), min_size=k, max_size=k))
+    return [OrientedGraph(n, arcs) for n, arcs in graphs]
+
+
+@settings(deadline=None, max_examples=60)
+@given(join_operands())
+def test_bounded_levels_match_unbounded_solvers(graphs):
+    # the operands' minimum families, shifted onto the n-join, decycle it and
+    # bound inv by their sizes and tmr by their gram ranks
+    J = njoin(graphs)
+    reports = [check_trichotomy(D) for D in graphs]
+    sets, offset = [], 0
+    for D, rep in zip(graphs, reports):
+        sets += [frozenset(v + offset for v in s) for s in rep.inv_certificate.payload.sets]
+        offset += D.n
+    union = VertexFamily(J.n, tuple(sets))
+    budget = SearchBudget()
+    for rank_pass, value, bound in (
+        (False, solve_inv(J).value, sum(r.inv for r in reports)),
+        (True, solve_tmr(J).value, sum(r.tmr for r in reports)),
+    ):
+        assert value <= bound
+        k, family = _levels(J, budget, rank_pass, (bound, union))
+        assert k == value
+        if k == bound:
+            assert family is union
+        # a bound above the value is never reached: the lex-first witness
+        wider = VertexFamily(J.n, union.sets + (frozenset(),))
+        assert _levels(J, budget, rank_pass, (bound + 1, wider)) == _levels(J, budget, rank_pass)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -200,6 +201,16 @@ def test_node_limit_gives_inconclusive_with_bounds():
 
     with pytest.raises(Inconclusive):
         solve_tmr(J, SearchBudget(node_limit=3))
+
+
+def test_inconclusive_survives_pickling():
+    # a scan worker sends its exception back pickled, notes and all
+    for exc in (Inconclusive(1, None, "x"), Inconclusive(2, 4, "node limit 3 reached at level 2")):
+        exc.add_note("raised in scan worker")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is Inconclusive and str(back) == str(exc)
+        assert (back.lower, back.upper, back.reason) == (exc.lower, exc.upper, exc.reason)
+        assert back.__notes__ == ["raised in scan worker"]
 
 
 def test_determinism_with_fixed_budget():
