@@ -17,7 +17,7 @@ from typing import Optional
 
 from .decycling import Certificate, _json_int, _json_rows, certificate_error
 from .digraph import ParseError, VertexFamily, decode, dijoin, encode, njoin
-from .explorer import canonical_form, enumerate_tournaments, run_scan
+from .explorer import MAX_CANONICAL_N, canonical_form, enumerate_tournaments, run_scan
 from .search import Inconclusive, SearchBudget, solve_inv, solve_tmr
 from .constructions import extend_to_tournament
 
@@ -175,13 +175,15 @@ def _cmd_scan(args, out) -> int:
     return _report_exit(report, args, out)
 
 
-def _at_least(low: int):
-    """An argparse type: an int >= low, else a usage error naming the flag."""
+def _at_least(low: int, high: Optional[int] = None):
+    """An argparse type: an int >= low, and <= high if given, else a usage error naming the flag."""
 
     def count(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     return count
@@ -191,6 +193,8 @@ def _at_least(low: int):
 def build_parser() -> argparse.ArgumentParser:
     """The invlab parser, built once per process: parsing never changes it."""
     count = _at_least(0)
+    # operand sizes stop where the isomorphism classes do
+    size = _at_least(0, MAX_CANONICAL_N)
     # the options of the commands that search; the others take none of them
     search = argparse.ArgumentParser(add_help=False)
     search.add_argument("--json", action="store_true", help="emit JSON schemas verbatim")
@@ -244,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_canonical)
 
     p = sub.add_parser("verify-theorems", parents=[search], help="check the proven identities")
-    p.add_argument("--max-n", type=count, default=3, help="max operand size")
+    p.add_argument("--max-n", type=size, default=3, help="max operand size")
     p.set_defaults(fn=_cmd_verify_theorems)
 
     p = sub.add_parser("scan", parents=[search], help="conjecture scans")
@@ -252,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
         "conjecture",
         choices=["tmr-additivity", "inv-lower-bound", "schur-3x3"],
     )
-    p.add_argument("--n1", type=count, default=None, help="max size of the first operand")
-    p.add_argument("--n2", type=count, default=None, help="max size of the second operand")
+    p.add_argument("--n1", type=size, default=None, help="max size of the first operand")
+    p.add_argument("--n2", type=size, default=None, help="max size of the second operand")
     p.add_argument("--budget", type=count, default=None, help="schur-3x3 sample count")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled scans")
     p.set_defaults(fn=_cmd_scan)

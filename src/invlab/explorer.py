@@ -20,30 +20,31 @@ build-stopping) from "evidence" (conjecture probes, where a counterexample
 is a discovery, not a failure), and every report replays exactly from its
 scope field.
 
-A scan lists its jobs, (task, args) pairs over the tuples of tournament
-classes in its scope (`_class_tuples`), and a fold that turns the task
-results, in job order, into violations and evidence.  One runner, `_run`,
-runs the jobs in this process, or with more workers forks the others and
-works as one of them (_fan_out: jobs are claimed through a pipe, results
-come back pickled over one pipe per child, and the design relies on Linux
-pipe semantics).  No pool module is loaded, and the report is the same for
-any worker count apart from elapsed.  The theorem and Schur scans run one
-job per tuple through `_scan`, which appends each result's inconclusive
-entries and times the run.
+A scan is one timed run through `_scan`: a plan lists (task, args) jobs
+and maps their results, in job order, to one outcome per instance, a row
+or the reason the instance is inconclusive; a fold turns the rows, in
+instance order, into violations and evidence.  One runner, `_run`, runs
+the jobs in this process, or with more workers forks the others and works
+as one of them (_fan_out: jobs are claimed through a pipe, results come
+back pickled over one pipe per child, and the design relies on Linux pipe
+semantics).  No pool module is loaded, and the report is the same for any
+worker count apart from elapsed.  The Schur scan runs one job per pair.
 
-The two pair scans (tmr additivity and the inv lower bound) ask each
-question once, through `_pair_scan`.  Every operand class is answered
-first, by one check_trichotomy.  A tournament is the n-join of its strong
-components, so the canonical forms of the components of D1 -> D2, winners
-first, are an exact isomorphism key; reversing every arc keeps inv and tmr
-and maps D1 -> D2 to D2^c -> D1^c, so a join question is keyed by the
-lesser of the two keys.  Each distinct key is one job, and its search stops
-at the operands' bound: the union of their minimum families decycles the
-dijoin (no cross arc lies on a cycle), so the level of inv(D1) + inv(D2),
-or of tmr(D1) + tmr(D2), is replayed from that union instead of searched.
-A node limit therefore applies to each question's search, and a question
-that runs out leaves every pair with its key inconclusive.  The folds stay
-per pair.
+The theorem scan and the two pair scans (tmr additivity and the inv lower
+bound) ask each join question once, through `_questions`.  Every operand
+class is answered first, by one check_trichotomy.  A tournament is the
+n-join of its strong components, so the canonical forms of the components
+of an n-join, in join order, are an exact isomorphism key, and each
+distinct key is one job.  Its search stops at the operands' bound: the
+union of their minimum families decycles the join (no cross arc lies on a
+cycle), so the level of the sum of their inv, or of their tmr, is replayed
+from that union instead of searched.  A node limit therefore applies to
+each question's search, and a question that runs out leaves every
+instance that asks it inconclusive.  Reversing every arc keeps inv and tmr
+and maps D1 -> D2 to D2^c -> D1^c, so the pair scans key a question by the
+lesser of its key and its converse's.  The theorem scan keys plainly: its
+switch check compares inv(D1 -> D2) with inv(D2 -> D1), and with
+self-converse operands a converse key would answer both from one search.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from .digraph import (
     VertexFamily,
     decode,
     dijoin,
-    encode,
     induced,
     njoin,
     pair_count,
@@ -81,7 +81,6 @@ from .search import (
     TrichotomyReport,
     _levels,
     check_trichotomy,
-    solve_inv,
     solve_tmr,
 )
 
@@ -243,22 +242,6 @@ class ScanReport:
         return "\n".join(lines)
 
 
-@lru_cache(maxsize=None)
-def _inv_value(enc: str, node_limit: Optional[int] = None) -> int:
-    return solve_inv(decode(enc), SearchBudget(node_limit=node_limit)).value
-
-
-@lru_cache(maxsize=None)
-def _trichotomy(enc: str, node_limit: Optional[int] = None) -> TrichotomyReport:
-    return check_trichotomy(decode(enc), SearchBudget(node_limit=node_limit))
-
-
-def _tmr_result(enc: str, node_limit: Optional[int] = None):
-    """(tmr, min_rank_nonzero_diag, inv), all read off one rank-pass search."""
-    res = _trichotomy(enc, node_limit)
-    return res.tmr, res.min_rank_nonzero_diag, res.inv
-
-
 # ---------------------------------------------------------------------------
 # the scan driver
 
@@ -279,7 +262,7 @@ def _check(name: str, instances: list, expected, observed) -> dict:
     return {"name": name, "instances": instances, "expected": expected, "observed": observed}
 
 
-def _run_job(job) -> dict:
+def _run_job(job):
     task, args = job
     return task(args)
 
@@ -292,7 +275,7 @@ _TOKEN = 4
 _MAX_TOKENS = 4096 // _TOKEN
 
 
-def _claimed(claims: int, jobs: list, step: int) -> Iterator[tuple[int, dict]]:
+def _claimed(claims: int, jobs: list, step: int) -> Iterator[tuple[int, object]]:
     """(index, result) of every job in the runs of `step` jobs this process claims."""
     while token := os.read(claims, _TOKEN):
         if len(token) != _TOKEN:
@@ -404,132 +387,36 @@ def _run(jobs: list, workers: int) -> list:
     return _fan_out(jobs, workers)
 
 
-def _scan(scope: dict, jobs: list, workers: int, fold) -> ScanReport:
-    """Run (task, args) jobs and fold their result dicts, in job order, into one report.
+def _scan(scope: dict, plan, workers: int, fold) -> ScanReport:
+    """Run a scan and fold its outcomes, one per instance, into one timed report.
 
-    The report is the same for any workers apart from elapsed (_run).  A
-    report checks one instance per job unless fold counts otherwise.  fold
-    fills the violations and the evidence; every result's "inconclusive"
-    entries follow the evidence, in job order.
+    plan() returns (jobs, outcomes): the (task, args) jobs, and a function
+    from their results, in job order, to one (instance, row) per instance,
+    the row of an inconclusive instance being the reason string.  fold gets
+    the other (instance, row) pairs and fills the violations and the
+    evidence, which the inconclusive instances follow; both keep instance
+    order.  A report checks one instance per outcome unless fold counts
+    otherwise.  plan runs on the clock, so elapsed covers operand searches.
     """
     t0 = time.perf_counter()
-    results = _run(jobs, workers)
-    report = ScanReport(scope=scope, instances_checked=len(results))
-    fold(report, results)
-    report.evidence["inconclusive"] = [e for res in results for e in res["inconclusive"]]
+    jobs, outcomes = plan()
+    done = outcomes(_run(jobs, workers))
+    report = ScanReport(scope=scope, instances_checked=len(done))
+    fold(report, [(instance, row) for instance, row in done if not isinstance(row, str)])
+    report.evidence["inconclusive"] = [
+        {"instance": instance, "reason": row} for instance, row in done if isinstance(row, str)
+    ]
     report.elapsed = time.perf_counter() - t0
     return report
 
 
 # ---------------------------------------------------------------------------
-# theorem verification
+# join questions: one search per operand class and per question
 
 
-def _dijoin_pair_task(args) -> dict:
-    enc1, enc2, node_limit = args
-    out = {"pair": [enc1, enc2], "checks": [], "inconclusive": []}
-
-    def value(fn, enc):
-        try:
-            return fn(enc, node_limit)
-        except Inconclusive as exc:
-            out["inconclusive"].append({"instance": enc, "reason": exc.reason})
-            return None
-
-    inv1 = value(_inv_value, enc1)
-    res2 = value(_tmr_result, enc2)
-    if inv1 is None or res2 is None or inv1 > 2:
-        return out
-    t2, _, inv2 = res2
-    d1, d2 = decode(enc1), decode(enc2)
-    invj = value(_inv_value, encode(dijoin(d1, d2)))
-    invj_sw = value(_inv_value, encode(dijoin(d2, d1)))
-    if invj is None:
-        return out
-    pair, checks = out["pair"], out["checks"]
-    if inv1 == 2:
-        checks.append(_check("dijoin-inv-formula", pair, t2 + 2, invj))
-    if invj_sw is not None:
-        checks.append(_check("dijoin-switch", pair, invj, invj_sw))
-    if inv1 >= 1:
-        gap_claim = invj == (inv2 if inv1 == 1 else inv2 + 1)
-        checks.append(_check("dijoin-gap-equivalence", pair, inv2 == t2 + 1, gap_claim))
-    return out
-
-
-def _triple_task(args) -> dict:
-    enc1, enc2, enc3, node_limit = args
-    out = {"triple": [enc1, enc2, enc3], "checks": [], "inconclusive": []}
-    try:
-        inv1 = _inv_value(enc1, node_limit)
-        inv2 = _inv_value(enc2, node_limit)
-        if inv1 not in (1, 2) or inv2 not in (1, 2):
-            return out
-        d1, d2, d3 = decode(enc1), decode(enc2), decode(enc3)
-        observed = _inv_value(encode(njoin([d1, d2, d3])), node_limit)
-        expected = inv1 + _inv_value(encode(dijoin(d2, d3)), node_limit)
-    except Inconclusive as exc:
-        out["inconclusive"].append({"instance": out["triple"], "reason": exc.reason})
-        return out
-    out["checks"].append(_check("three-join-identity", out["triple"], expected, observed))
-    return out
-
-
-def verify_dijoin_theorems(
-    max_total: Optional[int] = None,
-    max_each: Optional[int] = None,
-    triple_total: Optional[int] = None,
-    node_limit: Optional[int] = None,
-    workers: int = 1,
-) -> ScanReport:
-    """Check the proven dijoin and n-join identities on enumerated pairs.
-
-    Per ordered pair of tournament classes (within the size budget):
-    inv(D1) = 2 forces inv(D1 -> D2) = tmr(D2) + 2; inv(D1) <= 2 forces the
-    switch identity inv(D1 -> D2) = inv(D2 -> D1); and for inv(D1) in {1, 2}
-    the gap condition inv(D2) = tmr(D2) + 1 is equivalent to the dijoin
-    hitting its lower value.  Triples with the first two inversion numbers
-    in {1, 2} check inv([D1, D2, D3]) = inv(D1) + inv(D2 -> D3).  Every
-    check is theorem-backed: violations are build-stopping, and budget
-    exhaustion is recorded per instance, never silently skipped.
-    """
-    if max_total is None and max_each is None:
-        max_each = 3
-    if triple_total is None:
-        triple_total = max_total if max_total is not None else 3 * max_each
-    scope = {
-        "scan": "dijoin-theorems",
-        "max_total": max_total,
-        "max_each": max_each,
-        "triple_total": triple_total,
-        "node_limit": node_limit,
-    }
-
-    def sizes(total: int) -> range:
-        return range(1, (max_each if max_each is not None else total) + 1)
-
-    jobs = [
-        (_dijoin_pair_task, (e1, e2, node_limit))
-        for e1, e2 in _class_tuples([sizes(max_total)] * 2, max_total)
-    ] + [
-        (_triple_task, (e1, e2, e3, node_limit))
-        for e1, e2, e3 in _class_tuples([sizes(triple_total)] * 3, triple_total)
-    ]
-
-    def fold(report, results):
-        tallies: dict[str, int] = {}
-        for res in results:
-            for chk in res["checks"]:
-                tallies[chk["name"]] = tallies.get(chk["name"], 0) + 1
-                if chk["expected"] != chk["observed"]:
-                    report.violations.append(chk)
-        report.evidence = {"checks_run": tallies}
-
-    return _scan(scope, jobs, workers, fold)
-
-
-# ---------------------------------------------------------------------------
-# pair scans: one search per operand class and per join question
+@lru_cache(maxsize=None)
+def _trichotomy(enc: str, node_limit: Optional[int] = None) -> TrichotomyReport:
+    return check_trichotomy(decode(enc), SearchBudget(node_limit=node_limit))
 
 
 def _components(T: Tournament) -> list[list[int]]:
@@ -552,13 +439,13 @@ def _components(T: Tournament) -> list[list[int]]:
 
 
 def _component_key(T: Tournament) -> tuple[str, ...]:
-    """The canonical forms of T's strong components, winners first.
+    """The canonical forms of T's strong components, winners first, of any size.
 
     A tournament is the n-join of its strong components, so two tournaments
     are isomorphic exactly when their keys are equal, and the key of
-    dijoin(D1, D2) is the key of D1 followed by the key of D2.
+    njoin([D1, ..., Dk]) is the keys of D1, ..., Dk in turn.
     """
-    return tuple(canonical_form(induced(T, comp)) for comp in _components(T))
+    return tuple(_packed_text(len(c), _canonical_int(induced(T, c).out)) for c in _components(T))
 
 
 def _operand(enc: str, node_limit: Optional[int]):
@@ -572,20 +459,24 @@ def _operand(enc: str, node_limit: Optional[int]):
 
 
 def _join_task(args) -> int | str:
-    """The value of dijoin(D1, D2), or the reason its search ran out: tmr with rank_pass, else inv.
+    """The n-join's value, tmr with rank_pass else inv, or why its search ran out.
 
-    The union of the operands' minimum families (D2's sets shifted by n1)
-    decycles the dijoin, since every cross arc runs from D1 to D2 and so lies
-    on no cycle.  It has inv(D1) + inv(D2) sets, and its gram matrix is block
-    diagonal of rank tmr(D1) + tmr(D2), so the level loop stops at that sum
-    and the union is replayed instead of searched.
+    The union of the operands' minimum families, each shifted by the
+    vertices before it, decycles the join, since every cross arc runs
+    forward in join order and so lies on no cycle.  It has as many sets as
+    their inv sum, and its gram matrix is block diagonal of rank their tmr
+    sum, so the level loop stops at that sum and the union is replayed
+    instead of searched.
     """
-    enc1, rep1, enc2, rep2, rank_pass, node_limit = args
-    D1, D2 = decode(enc1), decode(enc2)
-    J = dijoin(D1, D2)
-    low, high = rep1.inv_certificate.payload, rep2.inv_certificate.payload
-    union = VertexFamily(J.n, low.sets + tuple(frozenset(v + D1.n for v in s) for s in high.sets))
-    bound = rep1.tmr + rep2.tmr if rank_pass else union.m
+    encs, reps, rank_pass, node_limit = args
+    parts = [decode(enc) for enc in encs]
+    J = njoin(parts)
+    sets, shift = [], 0
+    for D, rep in zip(parts, reps):
+        sets += [frozenset(v + shift for v in s) for s in rep.inv_certificate.payload.sets]
+        shift += D.n
+    union = VertexFamily(J.n, tuple(sets))
+    bound = sum(rep.tmr for rep in reps) if rank_pass else union.m
     try:
         k, family = _levels(J, SearchBudget(node_limit=node_limit), rank_pass, (bound, union))
     except Inconclusive as exc:
@@ -600,50 +491,153 @@ def _join_task(args) -> int | str:
     return k
 
 
-def _pair_scan(scope: dict, rank_pass: bool, workers: int, fold) -> ScanReport:
-    """Run a scan over the pairs (D1, D2) of classes, asking every question once.
+def _questions(tuples, ask, rank_pass: bool, converse: bool, node_limit: Optional[int]):
+    """The plan (see _scan) of a scan over tuples of classes that asks join questions.
 
-    The operands are answered first, then one _join_task per join key (see
-    the module docstring).  fold(report, rows) gets (pair, D1's report, D2's
-    report, the dijoin's value) for each conclusive pair, in pair order; the
-    inconclusive pairs follow the evidence, in pair order.
+    Every class is answered once, by check_trichotomy (_operand).
+    ask(reports) names an instance's questions, each a tuple of operand
+    positions in join order.  A question is keyed by its operands' keys in
+    that order or, with converse, by the lesser of that and the key of the
+    reversed join; each distinct key is one _join_task job.  An instance's
+    row is (its operands' reports, its questions' values), or the reason
+    the first of its operands, else of its questions, ran out.
     """
-    t0 = time.perf_counter()
-    node_limit = scope["node_limit"]
-    sizes = [range(1, scope["n1"] + 1), range(1, scope["n2"] + 1)]
     operands: dict = {}  # class -> _operand
     keys: dict = {}
     jobs = []
-    index = []  # per pair: the job of its key, or -1 when an operand ran out
-    for e1, e2 in _class_tuples(sizes, scope["max_total"]):
-        for enc in (e1, e2):
+    instances = []  # (classes, reports or a reason, the job of each question)
+    for encs in tuples:
+        for enc in encs:
             if enc not in operands:
                 operands[enc] = _operand(enc, node_limit)
-        a, b = operands[e1], operands[e2]
-        if isinstance(a, str) or isinstance(b, str):
-            index.append(-1)
+        ops = [operands[enc] for enc in encs]
+        reason = next((op for op in ops if isinstance(op, str)), None)
+        if reason is not None:
+            instances.append((encs, reason, []))
             continue
-        ix = keys.setdefault(min(a[1] + b[1], b[2] + a[2]), len(jobs))
-        if ix == len(jobs):
-            jobs.append((_join_task, (e1, a[0], e2, b[0], rank_pass, node_limit)))
-        index.append(ix)
-    values = _run(jobs, workers)
-    inconclusive = []
+        reps = tuple(op[0] for op in ops)
+        asked = []
+        for join in ask(reps):
+            key = sum((ops[i][1] for i in join), ())
+            if converse:
+                key = min(key, sum((ops[i][2] for i in reversed(join)), ()))
+            ix = keys.setdefault(key, len(jobs))
+            if ix == len(jobs):
+                operands_of = tuple(encs[i] for i in join), tuple(reps[i] for i in join)
+                jobs.append((_join_task, operands_of + (rank_pass, node_limit)))
+            asked.append(ix)
+        instances.append((encs, reps, asked))
 
-    def rows():
-        for (e1, e2), ix in zip(_class_tuples(sizes, scope["max_total"]), index):
-            a, b = operands[e1], operands[e2]
-            got = a if isinstance(a, str) else b if isinstance(b, str) else values[ix]
-            if isinstance(got, str):
-                inconclusive.append({"instance": [e1, e2], "reason": got})
-            else:
-                yield [e1, e2], a[0], b[0], got
+    def outcomes(values: list) -> list:
+        done = []
+        for encs, row, asked in instances:
+            got = [values[ix] for ix in asked]
+            if not isinstance(row, str):
+                row = next((v for v in got if isinstance(v, str)), (row, got))
+            done.append((list(encs), row))
+        return done
 
-    report = ScanReport(scope=scope, instances_checked=len(index))
-    fold(report, rows())
-    report.evidence["inconclusive"] = inconclusive
-    report.elapsed = time.perf_counter() - t0
-    return report
+    return jobs, outcomes
+
+
+# ---------------------------------------------------------------------------
+# theorem verification
+
+
+def _theorem_questions(reps) -> list[tuple[int, ...]]:
+    """A pair asks D1 -> D2 and D2 -> D1 when inv(D1) <= 2; a triple asks
+    [D1, D2, D3] and D2 -> D3 when inv(D1) and inv(D2) are in {1, 2}.
+    """
+    if len(reps) == 2:
+        return [(0, 1), (1, 0)] if reps[0].inv <= 2 else []
+    return [(0, 1, 2), (1, 2)] if reps[0].inv in (1, 2) and reps[1].inv in (1, 2) else []
+
+
+def _theorem_checks(instance: list, reps, values: list) -> list[dict]:
+    """One pair's or triple's checks, from its operands' reports and its questions' values."""
+    if not values:
+        return []
+    if len(reps) == 3:
+        return [_check("three-join-identity", instance, reps[0].inv + values[1], values[0])]
+    inv1, inv2, t2 = reps[0].inv, reps[1].inv, reps[1].tmr
+    invj, invj_sw = values
+    checks = []
+    if inv1 == 2:
+        checks.append(_check("dijoin-inv-formula", instance, t2 + 2, invj))
+    checks.append(_check("dijoin-switch", instance, invj, invj_sw))
+    if inv1 >= 1:
+        gap_claim = invj == (inv2 if inv1 == 1 else inv2 + 1)
+        checks.append(_check("dijoin-gap-equivalence", instance, inv2 == t2 + 1, gap_claim))
+    return checks
+
+
+def verify_dijoin_theorems(
+    max_total: Optional[int] = None,
+    max_each: Optional[int] = None,
+    triple_total: Optional[int] = None,
+    node_limit: Optional[int] = None,
+    workers: int = 1,
+) -> ScanReport:
+    """Check the proven dijoin and n-join identities on enumerated pairs.
+
+    Per ordered pair of tournament classes (within the size budget):
+    inv(D1) = 2 forces inv(D1 -> D2) = tmr(D2) + 2; inv(D1) <= 2 forces the
+    switch identity inv(D1 -> D2) = inv(D2 -> D1); and for inv(D1) in {1, 2}
+    the gap condition inv(D2) = tmr(D2) + 1 is equivalent to the dijoin
+    hitting its lower value.  Triples with the first two inversion numbers
+    in {1, 2} check inv([D1, D2, D3]) = inv(D1) + inv(D2 -> D3).  Every
+    check is theorem-backed: violations are build-stopping, and budget
+    exhaustion is recorded per pair or triple, never silently skipped.
+
+    Pairs and triples ask their joins through _questions, as the pair scans
+    do, but keyed plainly, not up to converse: with self-converse operands
+    the converse key of D2 -> D1 is the key of D1 -> D2, and one search
+    would answer both sides of the switch check.
+    """
+    if max_total is None and max_each is None:
+        max_each = 3
+    if triple_total is None:
+        triple_total = max_total if max_total is not None else 3 * max_each
+    scope = {
+        "scan": "dijoin-theorems",
+        "max_total": max_total,
+        "max_each": max_each,
+        "triple_total": triple_total,
+        "node_limit": node_limit,
+    }
+
+    def sizes(total: int) -> range:
+        return range(1, (max_each if max_each is not None else total) + 1)
+
+    tuples = itertools.chain(
+        _class_tuples([sizes(max_total)] * 2, max_total),
+        _class_tuples([sizes(triple_total)] * 3, triple_total),
+    )
+
+    def fold(report, rows):
+        tallies: dict[str, int] = {}
+        for instance, (reps, values) in rows:
+            for chk in _theorem_checks(instance, reps, values):
+                tallies[chk["name"]] = tallies.get(chk["name"], 0) + 1
+                if chk["expected"] != chk["observed"]:
+                    report.violations.append(chk)
+        report.evidence = {"checks_run": tallies}
+
+    return _scan(
+        scope, lambda: _questions(tuples, _theorem_questions, False, False, node_limit),
+        workers, fold,
+    )
+
+
+# ---------------------------------------------------------------------------
+# pair scans
+
+
+def _pair_questions(scope: dict, rank_pass: bool):
+    """The plan of a pair scan: D1 -> D2 for each pair of classes, keyed up to converse."""
+    sizes = [range(1, scope["n1"] + 1), range(1, scope["n2"] + 1)]
+    tuples = _class_tuples(sizes, scope["max_total"])
+    return _questions(tuples, lambda reps: [(0, 1)], rank_pass, True, scope["node_limit"])
 
 
 def scan_tmr_additivity(
@@ -671,7 +665,7 @@ def scan_tmr_additivity(
     def fold(report, rows):
         asserted = evidence_pairs = equal = 0
         counterexamples = []
-        for pair, rep1, rep2, tj in rows:
+        for pair, ((rep1, rep2), (tj,)) in rows:
             t1, t2 = rep1.tmr, rep2.tmr
             additive = tj == t1 + t2
             if t1 in (1, 2):
@@ -702,7 +696,7 @@ def scan_tmr_additivity(
             "counterexamples": counterexamples,
         }
 
-    return _pair_scan(scope, True, workers, fold)
+    return _scan(scope, lambda: _pair_questions(scope, True), workers, fold)
 
 
 def scan_inv_lower_bound(
@@ -735,7 +729,7 @@ def scan_inv_lower_bound(
             "strict_no_condition": 0,
         }
         bound_failures = []
-        for pair, rep1, rep2, observed in rows:
+        for pair, ((rep1, rep2), (observed,)) in rows:
             lo = rep1.inv + rep2.inv - 1
             if observed < lo:
                 entry = _check("inv-lower-bound", pair, f">= {lo}", observed)
@@ -751,7 +745,7 @@ def scan_inv_lower_bound(
             cells[key] += 1
         report.evidence = {"equality_cells": cells, "bound_counterexamples": bound_failures}
 
-    return _pair_scan(scope, False, workers, fold)
+    return _scan(scope, lambda: _pair_questions(scope, False), workers, fold)
 
 
 # ---------------------------------------------------------------------------
@@ -864,7 +858,7 @@ def _decycling_flips(T: Tournament, order: Sequence[int]) -> tuple[int, ...]:
     return tuple(a ^ b for a, b in zip(T.out, transitive_tournament(order).out))
 
 
-def _schur_pair_task(args) -> dict:
+def _schur_pair_task(args) -> tuple[list, list]:
     enc1, enc2, samples, seed = args
     D1, D2 = decode(enc1), decode(enc2)
     J = dijoin(D1, D2)
@@ -897,7 +891,7 @@ def _schur_pair_task(args) -> dict:
         (rec.a_rank, rec.b_prime_decycles, rec.a_prime_decycles_c3, rec.a_prime_class)
         for rec in records
     ]
-    return {"pair": [enc1, enc2], "records": records, "inconclusive": []}
+    return [enc1, enc2], records
 
 
 def scan_schur_3x3(
@@ -934,22 +928,22 @@ def scan_schur_3x3(
         for e2 in _class_encodings(s2)
     ]
 
-    def fold(report, results):
+    def fold(report, rows):
         per_class: dict[int, dict] = {}
         rank_tally: dict[int, int] = {}
-        for res in results:
-            for a_rank, b_ok, c3, key in res["records"]:
+        for pair, records in rows:
+            for a_rank, b_ok, c3, key in records:
                 rank_tally[a_rank] = rank_tally.get(a_rank, 0) + 1
                 if a_rank <= 2 and not b_ok:
                     report.violations.append(
-                        _check("schur-rank-le-2-must-hold", res["pair"], True, False)
+                        _check("schur-rank-le-2-must-hold", pair, True, False)
                     )
                 if a_rank == 3:
                     if not b_ok and not c3:
                         report.violations.append(
                             _check(
                                 "schur-safe-direction",
-                                res["pair"],
+                                pair,
                                 "failing B' implies A' decycles C3",
                                 f"A' class {key} fails without decycling C3",
                             )
@@ -976,7 +970,8 @@ def scan_schur_3x3(
             "class_tally": {str(k): v for k, v in sorted(per_class.items())},
         }
 
-    return _scan(scope, jobs, workers, fold)
+    # each job's result is its pair's (instance, row) outcome
+    return _scan(scope, lambda: (jobs, list), workers, fold)
 
 
 # ---------------------------------------------------------------------------

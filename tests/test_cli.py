@@ -165,11 +165,16 @@ def test_budget_is_only_the_schur_sample_count():
     (["scan", "tmr-additivity", "--n1", "2", "--n2", "2", "--workers", "-2"], "--workers"),
     (["verify-theorems", "--workers", "0"], "--workers"),
     (["inv", "3:101", "--node-limit", "-1"], "--node-limit"),
+    # operand sizes past the isomorphism classes name their flag too
+    (["verify-theorems", "--max-n", "9"], "--max-n"),
+    (["scan", "tmr-additivity", "--n1", "9"], "--n1"),
+    (["scan", "schur-3x3", "--n2", "9"], "--n2"),
 ])
 def test_negative_counts_are_usage_errors(capsys, argv, flag):
     code, _ = run_cli(*argv)
     assert code == 2
-    assert f"argument {flag}: must be >= " in capsys.readouterr().err
+    bound = "<= 8, got 9" if "9" in argv else ">= "
+    assert f"argument {flag}: must be {bound}" in capsys.readouterr().err
 
 
 def test_usage_errors_name_the_input():

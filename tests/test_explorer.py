@@ -21,6 +21,7 @@ from invlab import (
     encode,
     enumerate_tournaments,
     family_to_matrix,
+    njoin,
     replay,
     reverse,
     run_scan,
@@ -33,7 +34,7 @@ from invlab import (
     VertexFamily,
 )
 from invlab import cli, explorer
-from invlab.explorer import _decycling_flips, _dijoin_pair_task, _tmr_result
+from invlab.explorer import _decycling_flips
 from oracles import brute_canonical
 
 C3 = decode("3:101")
@@ -118,25 +119,86 @@ def test_verify_dijoin_theorems_small():
     assert report.evidence["checks_run"]["three-join-identity"] > 0
 
 
+def _theorem_jobs(pair, node_limit=None):
+    """The theorem scan's jobs for one pair, their values, and the pair's outcome."""
+    jobs, outcomes = explorer._questions(
+        [pair], explorer._theorem_questions, False, False, node_limit
+    )
+    values = explorer._run(jobs, 1)
+    [outcome] = outcomes(values)
+    return jobs, values, outcome
+
+
 def test_dijoin_pair_task_reads_d2_off_one_search():
     # D2 has inv 3 and tmr 2, so inv2 must come from the tmr search's
     # even-weight pass, of width 3; no class with n <= 7 has a gap
     gap = "10:010100000111011100001001111110010000111110100"
-    assert _tmr_result(gap) == (2, False, 3)
-    out = _dijoin_pair_task(("3:101", gap, None))
-    checks = {c["name"]: (c["expected"], c["observed"]) for c in out["checks"]}
+    rep = explorer._trichotomy(gap, None)
+    assert (rep.tmr, rep.min_rank_nonzero_diag, rep.inv) == (2, False, 3)
+    jobs, values, (pair, (reps, got)) = _theorem_jobs(("3:101", gap))
+    assert reps[1] is rep and got == values == [3, 3]
+    checks = {
+        c["name"]: (c["expected"], c["observed"])
+        for c in explorer._theorem_checks(pair, reps, got)
+    }
     assert checks == {"dijoin-switch": (3, 3), "dijoin-gap-equivalence": (True, True)}
-    # an exhausted budget on D2 is recorded once
-    out = _dijoin_pair_task(("3:101", gap, 5))
-    assert [e["instance"] for e in out["inconclusive"]] == ["3:101", gap]
+    # an exhausted budget on an operand makes the pair one entry and asks nothing
+    jobs, _, outcome = _theorem_jobs(("3:101", gap), 5)
+    assert jobs == [] and outcome == (["3:101", gap], "node limit 5 reached at level 1")
 
 
 def test_dijoin_pair_task_records_each_inconclusive_dijoin_once():
-    # three checks read inv(D1 -> D2); an exhausted budget on it is one entry
-    out = _dijoin_pair_task(("3:010", "4:001000", 30))
-    instances = [e["instance"] for e in out["inconclusive"]]
-    assert instances.count("7:011111011111111001000") == 1
-    assert len(instances) == len(set(instances))
+    # three checks read inv(D1 -> D2); an exhausted budget on it is one entry,
+    # for the pair, with the reason of that search
+    jobs, values, outcome = _theorem_jobs(("3:010", "4:001000"), 30)
+    joins = [encode(njoin([decode(e) for e in args[0]])) for _, args in jobs]
+    assert joins[0] == "7:011111011111111001000" and len(joins) == 2
+    assert isinstance(values[0], str) and outcome == (["3:010", "4:001000"], values[0])
+
+
+def test_theorem_scan_searches_each_class_and_question_once(monkeypatch):
+    # each class goes through check_trichotomy once, and each join question,
+    # up to isomorphism, through one bounded inv level loop: 16 at max_each=3
+    # and 147 at 4, a question shared by a pair and a triple included
+    operands, joins = _record_searches(monkeypatch)
+    assert not hasattr(explorer, "solve_inv")
+    inv = {}
+    for max_each, questions in ((3, 16), (4, 147)):
+        operands.clear()
+        joins.clear()
+        explorer._trichotomy.cache_clear()
+        report = verify_dijoin_theorems(max_each=max_each)
+        assert report.violations == [] and report.inconclusive == []
+        classes = [e for n in range(1, max_each + 1) for e in explorer._class_encodings(n)]
+        assert sorted(operands) == sorted(classes)
+        inv.update((e, solve_inv(decode(e)).value) for e in classes)
+        asked = set()
+        for tup in explorer._class_tuples([range(1, max_each + 1)] * 2):
+            if inv[tup[0]] <= 2:
+                asked.update({tup, tup[::-1]})
+        for tup in explorer._class_tuples([range(1, max_each + 1)] * 3):
+            if inv[tup[0]] in (1, 2) and inv[tup[1]] in (1, 2):
+                asked.update({tup, tup[1:]})
+        keys = {explorer._component_key(njoin([decode(e) for e in q])) for q in asked}
+        assert len(joins) == len(keys) == questions
+        assert {explorer._component_key(D) for D, _, _ in joins} == keys
+        assert all(not rank_pass and upper is not None for _, rank_pass, upper in joins)
+
+
+def test_theorem_scan_searches_each_direction_of_a_pair():
+    # C3 and the transitive 2-tournament are both self-converse, so the
+    # converse key of 2:1 -> C3 is the key of C3 -> 2:1: keyed by converse,
+    # one search would read both sides of the switch check
+    jobs, values, (pair, (reps, _)) = _theorem_jobs(("3:101", "2:1"))
+    assert [args[0] for _, args in jobs] == [("3:101", "2:1"), ("2:1", "3:101")]
+    assert values == [1, 1]
+    # and the switch check reads one value from each
+    checks = explorer._theorem_checks(pair, reps, [1, 2])
+    assert ("dijoin-switch", 1, 2) in {(c["name"], c["expected"], c["observed"]) for c in checks}
+    jobs, _ = explorer._questions(
+        [("3:101", "2:1")], explorer._theorem_questions, False, True, None
+    )
+    assert len(jobs) == 1
 
 
 def test_scan_scopes_match_class_counts():
@@ -193,7 +255,6 @@ def _record_searches(monkeypatch):
 
     monkeypatch.setattr(explorer, "check_trichotomy", check)
     monkeypatch.setattr(explorer, "_levels", levels)
-    monkeypatch.setattr(explorer, "solve_inv", None)
     monkeypatch.setattr(explorer, "solve_tmr", None)
     explorer._trichotomy.cache_clear()
     return operands, joins
@@ -221,7 +282,7 @@ def test_inv_bound_pair_task_searches_each_operand_once(monkeypatch):
     enc1, enc2 = "3:101", "5:1010110100"
     rep1, rep2 = explorer._trichotomy(enc1), explorer._trichotomy(enc2)
     J = dijoin(decode(enc1), decode(enc2))
-    assert explorer._join_task((enc1, rep1, enc2, rep2, False, None)) == solve_inv(J).value
+    assert explorer._join_task(((enc1, enc2), (rep1, rep2), False, None)) == solve_inv(J).value
     assert operands == [enc1, enc2] and [encode(D) for D, _, _ in joins] == [encode(J)]
 
 
@@ -241,7 +302,7 @@ def test_join_task_stops_at_the_operands_bound_on_a_gap_operand(monkeypatch):
     monkeypatch.setattr(explorer, "_levels", levels)
     rep1, rep2 = explorer._trichotomy("3:101"), explorer._trichotomy(gap)
     for rank_pass in (True, False):
-        assert explorer._join_task(("3:101", rep1, gap, rep2, rank_pass, None)) == 3
+        assert explorer._join_task((("3:101", gap), (rep1, rep2), rank_pass, None)) == 3
     assert returned == [(True, 3, 3, True), (False, 4, 3, False)]
 
 
@@ -275,34 +336,65 @@ def test_pair_scans_search_each_join_question_once(monkeypatch):
         assert all(rank_pass and upper is not None for _, rank_pass, upper in joins)
 
 
-def test_a_node_limit_applies_per_join_question():
-    # pairs with one question share its outcome, and inconclusive pairs keep
-    # pair order and the entry format
-    report = scan_tmr_additivity(4, 4, node_limit=10)
-    pairs = list(explorer._class_tuples([range(1, 5)] * 2))
-    position = {pair: i for i, pair in enumerate(pairs)}
+@pytest.mark.parametrize("scan", ["tmr-additivity", "verify-theorems"])
+def test_a_node_limit_applies_per_join_question(scan):
+    # a question that runs out marks every pair or triple that asks it, so
+    # pairs with one question share its outcome; inconclusive instances keep
+    # instance order and the entry format
+    def join(encs):
+        return njoin([decode(e) for e in encs])
+
+    def inv(enc):
+        return solve_inv(decode(enc)).value
+
+    if scan == "tmr-additivity":
+        report = scan_tmr_additivity(4, 4, node_limit=10)
+        instances = list(explorer._class_tuples([range(1, 5)] * 2))
+
+        def questions(tup):
+            J = join(tup)
+            return {frozenset({canonical_form(J), canonical_form(reverse(J))})}
+    else:
+        report = verify_dijoin_theorems(max_each=4, triple_total=8, node_limit=20)
+        instances = list(explorer._class_tuples([range(1, 5)] * 2)) + list(
+            explorer._class_tuples([range(1, 5)] * 3, 8)
+        )
+
+        def questions(tup):
+            if len(tup) == 2:
+                asked = [tup, tup[::-1]] if inv(tup[0]) <= 2 else []
+            else:
+                asked = [tup, tup[1:]] if {inv(tup[0]), inv(tup[1])} <= {1, 2} else []
+            return {canonical_form(join(q)) for q in asked}
+
+    position = {tup: i for i, tup in enumerate(instances)}
     out = [tuple(e["instance"]) for e in report.inconclusive]
-    assert 0 < len(out) < len(pairs) and out == sorted(out, key=position.get)
+    assert 0 < len(out) < len(instances) and out == sorted(out, key=position.get)
     assert all(set(e) == {"instance", "reason"} for e in report.inconclusive)
-    status = {}
-    for e1, e2 in pairs:
-        J = dijoin(decode(e1), decode(e2))
-        question = frozenset({canonical_form(J), canonical_form(reverse(J))})
-        assert status.setdefault(question, (e1, e2) in out) == ((e1, e2) in out)
+    # no operand runs out at these limits, so an inconclusive instance asks a
+    # question that no conclusive instance asks
+    answered = set().union(*(questions(tup) for tup in instances if tup not in out))
+    assert all(not questions(tup) <= answered for tup in out)
 
 
-# sha256 of the --json reports without "elapsed", recorded before the pair
-# scans keyed their join questions
+# sha256 of the --json reports without "elapsed" of the 5x4 pair scans and of
+# verify-theorems --max-n 4, each recorded before that scan keyed its join
+# questions
 PAIR_SCAN_SHA256 = {
     "tmr-additivity": "7c3c7b76ae267c4bbaac12d5b527814c335acc4656b2a428f47957524e7c430f",
     "inv-lower-bound": "d6e38bd41059f3e1461226639aba36834e34493aeb51f04c750723e3eda6cc72",
+    "verify-theorems": "61d6de95f266a3eb413496b4cb4ec44b254d8a7bd03d3fb26d0eb69127c86ccc",
 }
 
 
 @pytest.mark.parametrize("scan", sorted(PAIR_SCAN_SHA256))
 def test_pair_scan_reports_match_recorded(scan):
+    if scan == "verify-theorems":
+        argv = [scan, "--max-n", "4"]
+    else:
+        argv = ["scan", scan, "--n1", "5", "--n2", "4"]
     buf = io.StringIO()
-    assert cli.main(["scan", scan, "--n1", "5", "--n2", "4", "--json"], out=buf) == 0
+    assert cli.main(argv + ["--json"], out=buf) == 0
     report = json.loads(buf.getvalue())
     report.pop("elapsed")
     assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == PAIR_SCAN_SHA256[scan]
@@ -387,16 +479,13 @@ def test_decycling_matrix_enumeration_is_complete_and_sound():
 
 
 def test_theorem_checks_reduce_oriented_operands_to_tournaments():
-    from invlab.explorer import _dijoin_pair_task
-
-    # the identities hold for oriented operands as given
-    res = _dijoin_pair_task(("3;0>1,1>2", "3:101", None))
-    assert res["inconclusive"] == []
-    for chk in res["checks"]:
-        assert chk["expected"] == chk["observed"]
-
-    res = _dijoin_pair_task(("4;0>1,1>2,2>3,3>0", "3:101", None))
-    assert all(c["expected"] == c["observed"] for c in res["checks"])
+    # the identities hold for oriented operands as given: with the path
+    # (inv 0) both dijoins keep inv(C3) = 1 (switch); C3 has inv = tmr = 1,
+    # no gap, so with the 4-cycle (inv 1) both dijoins miss the lower value
+    # inv(C3) and take 2 (switch and gap equivalence)
+    for d1, value in (("3;0>1,1>2", 1), ("4;0>1,1>2,2>3,3>0", 2)):
+        D1 = decode(d1)
+        assert solve_inv(dijoin(D1, C3)).value == value == solve_inv(dijoin(C3, D1)).value
 
 
 def _assert_no_children():
@@ -449,10 +538,10 @@ def test_a_worker_failure_raises_from_scan(tmp_path, failure, error, text):
         deadline = time.monotonic() + 30
         while not claimed.exists() and time.monotonic() < deadline:
             time.sleep(0.001)
-        return {"inconclusive": []}
+        return i, None
 
     with pytest.raises(error, match=text) as info:
-        explorer._scan({}, [(task, i) for i in range(20)], 2, _fold)
+        explorer._scan({}, lambda: ([(task, i) for i in range(20)], list), 2, _fold)
     _assert_no_children()
     if error is explorer.Inconclusive:
         assert (info.value.lower, info.value.upper, info.value.reason) == (1, None, "x")
@@ -469,7 +558,7 @@ def test_a_caller_failure_kills_the_workers():
 
     started = time.perf_counter()
     with pytest.raises(ValueError, match="failed in the caller"):
-        explorer._scan({}, [(task, i) for i in range(4)], 3, _fold)
+        explorer._scan({}, lambda: ([(task, i) for i in range(4)], list), 3, _fold)
     _assert_no_children()
     assert time.perf_counter() - started < 30
 
@@ -498,7 +587,7 @@ def test_schur_pair_task_enumerated_tallies():
         for n2 in range(1, 4):
             for e2 in _class_encodings(n2):
                 # the last two records per pair probe solver witnesses; skip them
-                tally.update(_schur_pair_task((e1, e2, 100, 0))["records"][:-2])
+                tally.update(_schur_pair_task((e1, e2, 100, 0))[1][:-2])
     # (a_rank, B' decycles, A' decycles C3, A' class) -> count, 100 samples x 8 pairs
     assert tally == {
         (0, True, None, None): 13,
