@@ -39,12 +39,14 @@ distinct key is one job.  Its search stops at the operands' bound: the
 union of their minimum families decycles the join (no cross arc lies on a
 cycle), so the level of the sum of their inv, or of their tmr, is replayed
 from that union instead of searched.  A node limit therefore applies to
-each question's search, and a question that runs out leaves every
-instance that asks it inconclusive.  Reversing every arc keeps inv and tmr
-and maps D1 -> D2 to D2^c -> D1^c, so the pair scans key a question by the
-lesser of its key and its converse's.  The theorem scan keys plainly: its
-switch check compares inv(D1 -> D2) with inv(D2 -> D1), and with
-self-converse operands a converse key would answer both from one search.
+each question's search, and a question that runs out leaves every instance
+that asks it inconclusive; an operand whose search runs out leaves
+inconclusive only the instances that read it to choose their questions or
+join it in one.  Reversing every arc keeps inv and tmr and maps D1 -> D2
+to D2^c -> D1^c, so the pair scans key a question by the lesser of its key
+and its converse's.  The theorem scan keys plainly: its switch check
+compares inv(D1 -> D2) with inv(D2 -> D1), and with self-converse operands
+a converse key would answer both from one search.
 """
 
 from __future__ import annotations
@@ -491,6 +493,21 @@ def _join_task(args) -> int | str:
     return k
 
 
+class _RanOut(Exception):
+    """Raised by reading the report of an operand whose search ran out."""
+
+
+class _NoReport:
+    """The report of an operand whose search ran out: reading a field raises
+    _RanOut with the reason."""
+
+    def __init__(self, reason: str):
+        self.reason = reason
+
+    def __getattr__(self, name):
+        raise _RanOut(self.reason)
+
+
 def _questions(tuples, ask, rank_pass: bool, converse: bool, node_limit: Optional[int]):
     """The plan (see _scan) of a scan over tuples of classes that asks join questions.
 
@@ -499,8 +516,11 @@ def _questions(tuples, ask, rank_pass: bool, converse: bool, node_limit: Optiona
     positions in join order.  A question is keyed by its operands' keys in
     that order or, with converse, by the lesser of that and the key of the
     reversed join; each distinct key is one _join_task job.  An instance's
-    row is (its operands' reports, its questions' values), or the reason
-    the first of its operands, else of its questions, ran out.
+    row is (its operands' reports, its questions' values), or the reason it
+    is inconclusive: the first operand that ran out among those ask reads,
+    else among its questions' operands, else the first of its questions
+    that ran out.  An operand that neither needs may have run out, its
+    report then a _NoReport.
     """
     operands: dict = {}  # class -> _operand
     keys: dict = {}
@@ -511,13 +531,19 @@ def _questions(tuples, ask, rank_pass: bool, converse: bool, node_limit: Optiona
             if enc not in operands:
                 operands[enc] = _operand(enc, node_limit)
         ops = [operands[enc] for enc in encs]
-        reason = next((op for op in ops if isinstance(op, str)), None)
+        reps = tuple(_NoReport(op) if isinstance(op, str) else op[0] for op in ops)
+        try:
+            joins = ask(reps)
+        except _RanOut as exc:
+            reason = exc.args[0]
+        else:
+            needed = sorted({i for join in joins for i in join})
+            reason = next((ops[i] for i in needed if isinstance(ops[i], str)), None)
         if reason is not None:
             instances.append((encs, reason, []))
             continue
-        reps = tuple(op[0] for op in ops)
         asked = []
-        for join in ask(reps):
+        for join in joins:
             key = sum((ops[i][1] for i in join), ())
             if converse:
                 key = min(key, sum((ops[i][2] for i in reversed(join)), ()))

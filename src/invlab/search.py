@@ -13,20 +13,20 @@ bit x standing for the vector x.  On tournaments the placed slots form one
 transitive order, and an acyclic tournament is transitive, so a new slot
 keeps the order acyclic exactly when the slots it loses to are a prefix:
 its results along the order read loss ... loss win ... win, and it enters
-after its run of losses.  One forward pass over the order (_placements)
-keeps, from the cached sets {x : x.v odd}, L_p = the x that lose to the
-first p placed slots and M_p = the x whose first p results are losses then
-at least one win.  With lose = the x losing to the next slot, M_{p+1} =
-(L_p | M_p) - lose and L_{p+1} = L_p & lose, so after the last slot L | M
-is exactly the set of x with that pattern, and the insert position of such
-an x is the last p with x in L_p.  That is O(slots placed) big-int
-operations for all x at once; the loop then walks only the valid x in
-ascending order.  On other oriented graphs the search keeps
-below[t], the placed slots with a flipped path to t (t included), and
-beats[t], the x that orient {i, t} as i -> t for each placed neighbour t
-of the new slot i; x is invalid iff it lies in beats[t] and not in beats[s]
-for neighbours s, t with t in below[s].  This is exact: the placed slots
-are acyclic, so a new cycle must pass through i, as i -> t ->* s -> i.
+after its run of losses.  Each tournament node makes one forward pass over
+the order that keeps, from the cached sets {x : x.v odd}, L_p = the x that
+lose to the first p placed slots and M_p = the x whose first p results are
+losses then at least one win.  With lose = the x losing to the next slot,
+M_{p+1} = (L_p | M_p) - lose and L_{p+1} = L_p & lose, so after the last
+slot L | M is exactly the set of x with that pattern: O(slots placed)
+big-int operations for all x at once.  The node then walks the valid x in
+ascending order; one in the final L enters last, any other before the first
+slot it beats.  On other oriented graphs the search keeps below[t], the
+placed slots with a flipped path to t (t included), and beats[t], the x
+that orient {i, t} as i -> t for each placed neighbour t of the new slot i;
+x is invalid iff it lies in beats[t] and not in beats[s] for neighbours s,
+t with t in below[s].  This is exact: the placed slots are acyclic, so a
+new cycle must pass through i, as i -> t ->* s -> i.
 
 Column order (lex-leader symmetry breaking): permuting the m columns of an
 assignment keeps every dot product, hence the flipped graph, the gram matrix
@@ -134,16 +134,14 @@ class _NodeLimit(Exception):
 
 
 class _Nodes:
-    __slots__ = ("used", "limit")
+    """A solve's node count; a level search raises _NodeLimit when it reaches
+    stop (limit + 1, or -1, which no count reaches, with no limit)."""
+
+    __slots__ = ("used", "stop")
 
     def __init__(self, limit: Optional[int] = None):
         self.used = 0
-        self.limit = limit
-
-    def tick(self):
-        self.used += 1
-        if self.limit is not None and self.used > self.limit:
-            raise _NodeLimit()
+        self.stop = -1 if limit is None else limit + 1
 
 
 # ---------------------------------------------------------------------------
@@ -222,31 +220,6 @@ def _level_search(
     return _search_general(D.n, D.out, D.adj, m, counter=counter)
 
 
-def _placements(
-    flip_row: list[int], order: list[int], odd: list[int], full: int
-) -> tuple[int, list[int]]:
-    """Candidate sets for a tournament slot, in one pass over order: (all valid x, chain).
-
-    The slot loses to t for the x in odd[t] ^ flip_row[t], where odd[t] =
-    {x : x.vecs[t] odd} and flip_row[t] is 0 when the slot's out bit toward t
-    is set, full otherwise.  V = L | M of the module docstring, so a step
-    drops from V the x of V - L that lose to t.  chain is [full, L_1, ...,
-    L_k, 0]: the insert position of a valid x is the last p with x in
-    chain[p], and the trailing 0 is a sentinel.
-    """
-    L = V = full
-    chain = [full]
-    for t in order:
-        lose = odd[t] ^ flip_row[t]
-        V ^= (V ^ L) & lose
-        if not V:
-            return 0, chain
-        L &= lose
-        chain.append(L)
-    chain.append(0)
-    return V, chain
-
-
 def _search_tournament(n, out_slots, m, *, counter, even):
     full = (1 << (1 << m)) - 1
     par = _parity_sets(m)
@@ -260,23 +233,40 @@ def _search_tournament(n, out_slots, m, *, counter, even):
     odd = [0] * n  # odd[t] = par[vecs[t]]
     order: list[int] = []  # assigned slots, transitive order, winners first
     masks: dict[int, int] = {}  # tie -> allowed & _lex_allowed(m, tie)
+    used, stop = counter.used, counter.stop
 
     def dfs(i: int, tie: int) -> bool:
+        nonlocal used
         if i == n:
             return True
-        valid, chain = _placements(flip[i], order, odd, full)
+        # the pass of the module docstring, V = L | M: a step drops from V
+        # the x of V - L that lose to t
+        flip_row = flip[i]
+        L = V = full
+        for t in order:
+            lose = odd[t] ^ flip_row[t]
+            V ^= (V ^ L) & lose
+            if not V:
+                return False
+            L &= lose
         mask = masks.get(tie)
         if mask is None:
             mask = masks[tie] = allowed & _lex_allowed(m, tie)
-        valid &= mask
+        valid = V & mask
         while valid:
             low = valid & -valid
             valid ^= low
+            used += 1
+            if used == stop:
+                raise _NodeLimit()
+            # x enters last if it is in L, else before the first slot it beats
+            if L & low:
+                pos = len(order)
+            else:
+                pos = 0
+                while (odd[order[pos]] ^ flip_row[order[pos]]) & low:
+                    pos += 1
             x = low.bit_length() - 1
-            pos = 0
-            while chain[pos + 1] & low:
-                pos += 1
-            counter.tick()
             vecs[i] = x
             odd[i] = par[x]
             order.insert(pos, i)
@@ -285,7 +275,10 @@ def _search_tournament(n, out_slots, m, *, counter, even):
             del order[pos]
         return False
 
-    return tuple(vecs) if dfs(0, all_tied) else None
+    try:
+        return tuple(vecs) if dfs(0, all_tied) else None
+    finally:
+        counter.used = used
 
 
 def _search_general(n, out_slots, pres, m, *, counter):
@@ -293,8 +286,10 @@ def _search_general(n, out_slots, pres, m, *, counter):
     par = _parity_sets(m)
     vecs = [0] * n
     below = [0] * n  # below[t]: assigned slots with a flipped path to t, t included
+    used, stop = counter.used, counter.stop
 
     def dfs(i: int, tie: int) -> bool:
+        nonlocal used
         if i == n:
             return True
         # beats[t]: the x that orient {i, t} as i -> t after the flip
@@ -313,8 +308,10 @@ def _search_general(n, out_slots, pres, m, *, counter):
         while valid:
             low = valid & -valid
             valid ^= low
+            used += 1
+            if used == stop:
+                raise _NodeLimit()
             x = low.bit_length() - 1
-            counter.tick()
             vecs[i] = x
             wins = 0
             mine = 1 << i
@@ -333,7 +330,10 @@ def _search_general(n, out_slots, pres, m, *, counter):
         return False
 
     all_tied = (1 << max(m - 1, 0)) - 1  # bit j: columns j, j+1 still equal
-    return tuple(vecs) if dfs(0, all_tied) else None
+    try:
+        return tuple(vecs) if dfs(0, all_tied) else None
+    finally:
+        counter.used = used
 
 
 # ---------------------------------------------------------------------------

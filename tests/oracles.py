@@ -282,3 +282,48 @@ def lex_least_assignment(n, arcs, slots, k, even=False):
         return False
 
     return tuple(vecs) if dfs(0) else None
+
+
+def tournament_level_search(n, arcs, slots, k, even=False):
+    """(witness, nodes) of the tournament level search, by the per-vector rule.
+
+    Slot s holds vertex slots[s].  Plain depth-first search over the
+    width-k vectors in ascending order (with even, those of even weight),
+    each placed into the transitive order of the earlier slots by
+    place_position.  The column rule skips a row with x_j = 0 and
+    x_{j+1} = 1 while columns j and j+1 are equal on every earlier row
+    (bit j of tie), and a row keeps bit j of tie only where x_j = x_{j+1}.
+    One node is counted per accepted placement.  The witness is the vectors
+    by slot, or None.
+    """
+    slot_of = {v: s for s, v in enumerate(slots)}
+    out_rows = [0] * n
+    for u, v in arcs:
+        out_rows[slot_of[u]] |= 1 << slot_of[v]
+    vecs = [0] * n
+    order = []
+    nodes = 0
+
+    def dfs(s, tie):
+        nonlocal nodes
+        if s == n:
+            return True
+        for x in range(1 << k):
+            if even and bin(x).count("1") % 2:
+                continue
+            if any((tie >> j) & 1 and not (x >> j) & 1 and (x >> (j + 1)) & 1
+                   for j in range(k - 1)):
+                continue
+            pos = place_position(order, vecs, out_rows[s], x)
+            if pos is None:
+                continue
+            nodes += 1
+            vecs[s] = x
+            order.insert(pos, s)
+            if dfs(s + 1, tie & ~(x ^ (x >> 1))):
+                return True
+            del order[pos]
+        return False
+
+    found = dfs(0, (1 << max(k - 1, 0)) - 1)
+    return (tuple(vecs) if found else None), nodes

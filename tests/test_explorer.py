@@ -13,9 +13,12 @@ from pathlib import Path
 import pytest
 
 from invlab import (
+    Inconclusive,
+    SearchBudget,
     SymMatGF2,
     Tournament,
     canonical_form,
+    check_trichotomy,
     decode,
     dijoin,
     encode,
@@ -375,6 +378,25 @@ def test_a_node_limit_applies_per_join_question(scan):
     # question that no conclusive instance asks
     answered = set().union(*(questions(tup) for tup in instances if tup not in out))
     assert all(not questions(tup) <= answered for tup in out)
+
+
+def test_only_a_needed_operand_leaves_an_instance_inconclusive():
+    # at node limit 5 the search for 3:010 runs out, but a triple whose D1
+    # is transitive (inv 0) asks no question and reads nothing of D2 or D3,
+    # so it is settled; a pair asks both of its joins, so it needs both
+    # operands, and so does a triple whose D1 and D2 have inv 1
+    with pytest.raises(Inconclusive):
+        check_trichotomy(decode("3:010"), SearchBudget(node_limit=5))
+    buf = io.StringIO()
+    argv = ["verify-theorems", "--max-n", "3", "--node-limit", "5", "--json"]
+    assert cli.main(argv, out=buf) == 3  # some instances are inconclusive
+    report = json.loads(buf.getvalue())
+    out = [e["instance"] for e in report["evidence"]["inconclusive"]]
+    assert report["instances_checked"] == 80 and len(out) == 23
+    assert ["1:", "1:", "3:010"] not in out
+    assert not [tup for tup in out if len(tup) == 3 and tup[0] in ("1:", "2:0", "3:000")]
+    assert ["3:010", "1:"] in out and ["1:", "3:010"] in out
+    assert ["3:010", "3:010", "1:"] in out
 
 
 # sha256 of the --json reports without "elapsed" of the 5x4 pair scans and of

@@ -2,11 +2,12 @@
 
 Graphs are generated as arc lists; every operation is compared with the
 arc-list oracles in oracles.py, which never read the library's rows.  The
-search's candidate sets are compared with the per-vector placement rule,
-canonical forms are checked for invariance under relabelling, and solver
-certificates are checked to survive a JSON round trip and to reject
-tampering.  The pair scans' join keys are checked against a reachability
-oracle, and their bounded level loop against the unbounded solvers.
+tournament search's witnesses and node counts are compared with a search
+by the per-vector placement rule, canonical forms are checked for
+invariance under relabelling, and solver certificates are checked to
+survive a JSON round trip and to reject tampering.  The pair scans' join
+keys are checked against a reachability oracle, and their bounded level
+loop against the unbounded solvers.
 """
 
 import json
@@ -43,8 +44,6 @@ from invlab.search import (
     _levels,
     _lex_allowed,
     _Nodes,
-    _parity_sets,
-    _placements,
 )
 from oracles import (
     arcs_apply_matrix,
@@ -55,7 +54,7 @@ from oracles import (
     arcs_strong_components,
     lex_least_assignment,
     naive_inv,
-    place_position,
+    tournament_level_search,
 )
 
 MAX_N = 12
@@ -184,27 +183,21 @@ def members(bitset: int, m: int) -> set[int]:
 
 
 @settings(deadline=None, max_examples=300)
-@given(st.data())
-def test_placements_match_per_vector_rule(data):
-    m = data.draw(st.integers(0, 5))
-    k = data.draw(st.integers(0, 8))
-    vecs = data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=k, max_size=k))
-    order = data.draw(st.permutations(range(k)))
-    out_row = data.draw(st.integers(0, (1 << k) - 1))
-    par = _parity_sets(m)
-    full = (1 << (1 << m)) - 1
-    flip_row = [0 if (out_row >> t) & 1 else full for t in range(k)]
-    valid, chain = _placements(flip_row, order, [par[v] for v in vecs], full)
-    want = {x: place_position(order, vecs, out_row, x) for x in range(1 << m)}
-    assert members(valid, m) == {x for x, pos in want.items() if pos is not None}
-    if valid:
-        # the pass stops early only once no x is valid
-        assert len(chain) == k + 2
-    for x in members(valid, m):
-        pos = 0
-        while (chain[pos + 1] >> x) & 1:
-            pos += 1
-        assert pos == want[x]
+@given(arc_lists(max_n=8, tournament=True))
+def test_tournament_search_matches_per_vector_oracle(graph):
+    # the one pass per node and the insert position read from its final L
+    # give the witness and the node count of a search that places every
+    # vector by the per-vector rule; each pair's orientation is drawn, so
+    # the tournaments come under every labelling
+    n, arcs = graph
+    D = OrientedGraph(n, arcs)
+    slots = _assignment_order(D)
+    S = _relabel(D, slots)
+    for k in range(4):
+        for even in (False, True):
+            counter = _Nodes()
+            found = _level_search(S, k, counter=counter, even=even)
+            assert (found, counter.used) == tournament_level_search(n, arcs, slots, k, even)
 
 
 @settings(deadline=None, max_examples=300)

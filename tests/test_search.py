@@ -296,6 +296,22 @@ def test_seeded_n12_tournament_tmr():
         solve_tmr(T, SearchBudget(node_limit=91_020))
 
 
+def test_seeded_n12_oriented_graph_inv():
+    # the same pin for the search over oriented graphs that are not
+    # tournaments: each pair is absent with probability 0.15
+    n = 12
+    rng = random.Random(n)
+    arcs = [(u, v) if rng.random() < 0.5 else (v, u)
+            for u in range(n) for v in range(u + 1, n) if rng.random() < 0.85]
+    D = OrientedGraph(n, arcs)
+    assert not D.is_tournament
+    res = solve_inv(D, SearchBudget(node_limit=2_531))
+    assert res.value == 3
+    assert verify_certificate(D, res.certificate)
+    with pytest.raises(Inconclusive):
+        solve_inv(D, SearchBudget(node_limit=2_530))
+
+
 def test_one_slot_order_per_solve(monkeypatch):
     # _levels relabels the graph into slot order once; no level or result
     # builder orders the slots again
