@@ -36,7 +36,7 @@ print("rank-1 block factors into width", factor_symmetric(ones).ncols)
 # A maximal full-rank principal submatrix keeps the first row basis: the
 # rows, taken in order, that are independent of the rows kept before them.
 A = SymMatGF2.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
-S = full_rank_principal(A, "max")
+S = full_rank_principal(A)
 print("rank", rank(A), "principal indices:", S, "->", A.principal(S).to_lists())
 
 # Block elimination: B' = B + C^T A'^{-1} C decouples the blocks, so the

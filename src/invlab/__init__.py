@@ -8,7 +8,6 @@ from .digraph import (
     decode,
     dijoin,
     encode,
-    graph_json,
     induced,
     invert,
     is_acyclic,

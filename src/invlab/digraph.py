@@ -252,11 +252,6 @@ def _parse_count(token: str) -> int:
     return n
 
 
-def graph_json(D: OrientedGraph) -> dict:
-    """JSON rendering used in certificates and reports."""
-    return {"n": D.n, "arcs": [[u, v] for u, v in D.arcs()]}
-
-
 # ---------------------------------------------------------------------------
 # structural operations
 

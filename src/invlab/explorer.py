@@ -23,12 +23,13 @@ scope field.
 A scan is one timed run through `_scan`: a plan lists (task, args) jobs
 and maps their results, in job order, to one outcome per instance, a row
 or the reason the instance is inconclusive; a fold turns the rows, in
-instance order, into violations and evidence.  One runner, `_run`, runs
-the jobs in this process, or with more workers forks the others and works
-as one of them (_fan_out: jobs are claimed through a pipe, results come
-back pickled over one pipe per child, and the design relies on Linux pipe
-semantics).  No pool module is loaded, and the report is the same for any
-worker count apart from elapsed.  The Schur scan runs one job per pair.
+instance order, into violations and evidence.  One runner, `_fan_out`,
+runs the jobs at any worker count: this process claims them through a pipe,
+and more workers are forks that claim from the same pipe and send results
+back pickled over one pipe each (the design relies on Linux pipe semantics).
+One worker forks nothing, so the report is the same for any worker count
+apart from elapsed, and no pool module is loaded.  The Schur scan runs one
+job per pair.
 
 The theorem scan and the two pair scans (tmr additivity and the inv lower
 bound) ask each join question once, through `_questions`.  Every operand
@@ -52,6 +53,7 @@ a converse key would answer both from one search.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import time
@@ -83,7 +85,6 @@ from .search import (
     TrichotomyReport,
     _levels,
     check_trichotomy,
-    solve_tmr,
 )
 
 REPORT_SCHEMA = "invlab.scan-report/1"
@@ -264,11 +265,6 @@ def _check(name: str, instances: list, expected, observed) -> dict:
     return {"name": name, "instances": instances, "expected": expected, "observed": observed}
 
 
-def _run_job(job):
-    task, args = job
-    return task(args)
-
-
 # A claim token is the index of a job's first run, in _TOKEN bytes.  All the
 # tokens go into one pipe in one write of at most a page, so the write never
 # blocks, and a Linux pipe read holds the pipe lock, so every token reaches
@@ -284,7 +280,8 @@ def _claimed(claims: int, jobs: list, step: int) -> Iterator[tuple[int, object]]
             raise RuntimeError(f"claim pipe returned a partial token {token!r}")
         start = int.from_bytes(token, "little")
         for i in range(start, min(start + step, len(jobs))):
-            yield i, _run_job(jobs[i])
+            task, args = jobs[i]
+            yield i, task(args)
 
 
 def _pickled_error(exc: Exception) -> bytes:
@@ -324,14 +321,13 @@ def _fan_out(jobs: list, workers: int) -> list:
 
     Jobs are claimed through one pipe of tokens (see _TOKEN), so a process
     that draws light jobs claims more of them; over _MAX_TOKENS jobs, a
-    token names a run of consecutive jobs.  Each child pickles its pairs
-    back over its own pipe and ends through os._exit.  A child's exception,
-    or an exit with no data, is raised here; every child is reaped, and
-    killed first when anything raised.
+    token names a run of consecutive jobs.  With one worker nothing is
+    forked and this process claims every token.  Each child pickles its
+    pairs back over its own pipe and ends through os._exit.  A child's
+    exception, or an exit with no data, is raised here; every child is
+    reaped, and killed first when anything raised.
     """
-    import pickle
-
-    step = -(-len(jobs) // _MAX_TOKENS)
+    step = max(1, -(-len(jobs) // _MAX_TOKENS))
     claims, w = os.pipe()
     try:
         os.write(w, b"".join(i.to_bytes(_TOKEN, "little") for i in range(0, len(jobs), step)))
@@ -356,6 +352,7 @@ def _fan_out(jobs: list, workers: int) -> list:
         for i, res in _claimed(claims, jobs, step):
             results[i] = res
         for pid, fh in children:
+            import pickle  # only with children: a one-process scan never loads it
             data = fh.read()
             if not data:
                 raise RuntimeError(f"scan worker {pid} exited without sending its results")
@@ -377,18 +374,6 @@ def _fan_out(jobs: list, workers: int) -> list:
     return results
 
 
-def _run(jobs: list, workers: int) -> list:
-    """The results of (task, args) jobs, in job order.
-
-    With workers > 1 and more than one job, the jobs are shared between this
-    process and forked ones (_fan_out); the results are the same for any
-    workers.
-    """
-    if workers <= 1 or len(jobs) <= 1:
-        return [_run_job(job) for job in jobs]
-    return _fan_out(jobs, workers)
-
-
 def _scan(scope: dict, plan, workers: int, fold) -> ScanReport:
     """Run a scan and fold its outcomes, one per instance, into one timed report.
 
@@ -402,7 +387,7 @@ def _scan(scope: dict, plan, workers: int, fold) -> ScanReport:
     """
     t0 = time.perf_counter()
     jobs, outcomes = plan()
-    done = outcomes(_run(jobs, workers))
+    done = outcomes(_fan_out(jobs, workers))
     report = ScanReport(scope=scope, instances_checked=len(done))
     fold(report, [(instance, row) for instance, row in done if not isinstance(row, str)])
     report.evidence["inconclusive"] = [
@@ -704,7 +689,7 @@ def scan_tmr_additivity(
                     equal += 1
                 else:
                     budget = SearchBudget(node_limit=node_limit)
-                    cert = solve_tmr(dijoin(*map(decode, pair)), budget).certificate
+                    cert = check_trichotomy(dijoin(*map(decode, pair)), budget).tmr_certificate
                     counterexamples.append(
                         {
                             "d1": pair[0],
@@ -830,7 +815,7 @@ def _a_block_facts(D1: Tournament, A: SymMatGF2):
     the directed triangle and its class key (else None twice).  A 3-vertex
     D1 has only 64 A-blocks, so scans hit this cache almost always.
     """
-    S = full_rank_principal(A, "max")
+    S = full_rank_principal(A)
     A_prime = A.principal(S)
     induced_ok = is_decycling_matrix(induced(D1, S), A_prime)
     if len(S) != 3:
@@ -884,16 +869,25 @@ def _decycling_flips(T: Tournament, order: Sequence[int]) -> tuple[int, ...]:
     return tuple(a ^ b for a, b in zip(T.out, transitive_tournament(order).out))
 
 
+def _nth_order(n: int, index: int) -> tuple[int, ...]:
+    """Order number index of itertools.permutations(range(n)), by lexicographic unranking."""
+    left = list(range(n))
+    order = []
+    for rest in range(n - 1, -1, -1):
+        pick, index = divmod(index, math.factorial(rest))
+        order.append(left.pop(pick))
+    return tuple(order)
+
+
 def _schur_pair_task(args) -> tuple[list, list]:
     enc1, enc2, samples, seed = args
     D1, D2 = decode(enc1), decode(enc2)
     J = dijoin(D1, D2)
     n1 = D1.n
-    orders = list(itertools.permutations(range(J.n)))
-    # instance k is target order k >> n1 with D1-side diagonal k & (2^n1 - 1);
-    # the D2-side diagonal never reaches the probe, so it stays zero, while
-    # the D1-side diagonal feeds rank(A) and A'^{-1} and is enumerated fully
-    size = len(orders) << n1
+    # instance k is order k >> n1 with D1-side diagonal k & (2^n1 - 1); the
+    # D2-side diagonal never reaches the probe, so it stays zero, while the
+    # D1-side diagonal feeds rank(A) and A'^{-1} and is enumerated fully
+    size = math.factorial(J.n) << n1
     if samples is None:
         picks: Sequence[int] = range(size)
     else:
@@ -904,15 +898,15 @@ def _schur_pair_task(args) -> tuple[list, list]:
     for k in picks:
         oi = k >> n1
         if oi not in flips:
-            flips[oi] = _decycling_flips(J, orders[oi])
+            flips[oi] = _decycling_flips(J, _nth_order(J.n, oi))
         rows = [r | (k & (1 << i)) for i, r in enumerate(flips[oi])]
         records.append(_schur_probe(D1, D2, J, _trusted_sym(J.n, rows)))
-    # optimal certificates are probed alongside the enumerated matrices
-    records.append(_schur_probe(D1, D2, J, solve_tmr(J).certificate.payload))
-    optimal_blocks = SymMatGF2.block_diag(
-        solve_tmr(D1).certificate.payload, solve_tmr(D2).certificate.payload
-    )
-    records.append(_schur_probe(D1, D2, J, optimal_blocks))
+    # minimum-rank certificates are probed too: the dijoin's, and the block
+    # diagonal of the operands' from the per-class cache, keyed with None as
+    # _operand keys it (lru_cache keys f(x) and f(x, None) apart)
+    records.append(_schur_probe(D1, D2, J, check_trichotomy(J).tmr_certificate.payload))
+    blocks = [_trichotomy(enc, None).tmr_certificate.payload for enc in (enc1, enc2)]
+    records.append(_schur_probe(D1, D2, J, SymMatGF2.block_diag(*blocks)))
     records = [
         (rec.a_rank, rec.b_prime_decycles, rec.a_prime_decycles_c3, rec.a_prime_class)
         for rec in records

@@ -125,9 +125,6 @@ class SymMatGF2:
             rows.append(row)
         return _trusted_sym(len(idx), rows)
 
-    def to_mat(self) -> MatGF2:
-        return MatGF2(self.n, self.n, self.rows)
-
     def to_lists(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.n)] for r in self.rows]
 
@@ -224,28 +221,15 @@ def factor_symmetric(A: SymMatGF2) -> MatGF2:
     return MatGF2(n, width, xrows)
 
 
-def full_rank_principal(A: SymMatGF2, target: int | str = "max") -> tuple[int, ...]:
-    """Indices of a principal submatrix of full rank k = rank(A).
+def full_rank_principal(A: SymMatGF2) -> tuple[int, ...]:
+    """Indices of a principal submatrix of full rank k = rank(A), the largest there is.
 
-    target is "max" or k itself.  The indices are those of the first row
-    basis of A, taken greedily in index order: if rows S span the row space
-    of a symmetric A, then A = A[:, S] Q gives A[S, :] = A[S, S] Q, so
-    A[S, S] has rank |S|.  A target below k raises ValueError: nothing
-    needs it, and parity can make it infeasible (every principal submatrix
-    of an all-zero-diagonal matrix has even rank).
+    The indices are those of the first row basis of A, taken greedily in
+    index order: if rows S span the row space of a symmetric A, then
+    A = A[:, S] Q gives A[S, :] = A[S, S] Q, so A[S, S] has rank |S|.
     """
     echelon: list[int] = []
-    basis = tuple(i for i, r in enumerate(A.rows) if _echelon_insert(echelon, r))
-    k = len(basis)
-    if target == "max":
-        return basis
-    if not isinstance(target, int) or target < 0:
-        raise ValueError(f"target must be 'max' or a nonnegative integer, got {target!r}")
-    if target > k:
-        raise ValueError(f"infeasible: target rank {target} exceeds rank(A) = {k}")
-    if target < k:
-        raise ValueError(f"unsupported: target rank {target} is below rank(A) = {k}")
-    return basis
+    return tuple(i for i, r in enumerate(A.rows) if _echelon_insert(echelon, r))
 
 
 def _echelon_insert(echelon: list[int], vec: int) -> bool:

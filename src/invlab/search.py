@@ -446,37 +446,15 @@ class TrichotomyReport:
         return self.inv - self.tmr
 
     @property
-    def trichotomy_ok(self) -> bool:
-        return self.gap in (0, 1)
-
-    @property
-    def tmr_even_ok(self) -> Optional[bool]:
-        return self.tmr % 2 == 0 if self.gap == 1 else None
-
-    @property
-    def zero_diag_ok(self) -> Optional[bool]:
-        """When inv = tmr + 1: every minimum-rank decycling matrix is zero-diagonal."""
-        if self.gap != 1:
-            return None
-        return not self.min_rank_nonzero_diag
-
-    @property
-    def diag_biconditional_ok(self) -> Optional[bool]:
-        """Non-transitive case: gap = 1 iff no minimum-rank matrix has a 1 diagonal."""
-        if self.transitive:
-            return None
-        return (self.gap == 1) == (not self.min_rank_nonzero_diag)
-
-    @property
     def holds(self) -> bool:
-        if not self.trichotomy_ok:
-            return False
-        if self.gap == 1:
-            if not self.tmr_even_ok:
-                return False
-            if not self.transitive and not self.zero_diag_ok:
-                return False
-        return True
+        """The trichotomy: inv - tmr is 0 or 1, tmr is even when it is 1, and
+        for non-transitive T it is 1 exactly when no minimum-rank decycling
+        matrix has a nonzero diagonal entry."""
+        return (
+            self.gap in (0, 1)
+            and (self.gap == 0 or self.tmr % 2 == 0)
+            and (self.transitive or (self.gap == 1) == (not self.min_rank_nonzero_diag))
+        )
 
 
 def check_trichotomy(T: Tournament, budget: Optional[SearchBudget] = None) -> TrichotomyReport:

@@ -256,3 +256,18 @@ def test_importing_the_cli_loads_no_process_pool():
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]", code
+
+
+def test_a_one_worker_scan_loads_no_pickle():
+    # one worker runs the fan-out loop but forks nothing, so it has no
+    # results to unpickle
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    scan = ["scan", "tmr-additivity", "--n1", "3", "--n2", "3", "--workers", "1"]
+    code = (f"import invlab.cli, io, sys; invlab.cli.main({scan!r}, io.StringIO()); "
+            "print('pickle' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

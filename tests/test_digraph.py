@@ -11,7 +11,6 @@ from invlab import (
     decode,
     dijoin,
     encode,
-    graph_json,
     induced,
     invert,
     is_acyclic,
@@ -214,10 +213,6 @@ def test_topological_order_is_lex_least():
     assert topological_order(d) == (2, 0, 3, 1)
     with pytest.raises(ValueError):
         topological_order(decode("3:101"))
-
-
-def test_graph_json():
-    assert graph_json(decode("3;0>1,2>1")) == {"n": 3, "arcs": [[0, 1], [2, 1]]}
 
 
 def test_vertex_limit_boundary():

@@ -127,7 +127,7 @@ def _theorem_jobs(pair, node_limit=None):
     jobs, outcomes = explorer._questions(
         [pair], explorer._theorem_questions, False, False, node_limit
     )
-    values = explorer._run(jobs, 1)
+    values = explorer._fan_out(jobs, 1)
     [outcome] = outcomes(values)
     return jobs, values, outcome
 
@@ -258,7 +258,7 @@ def _record_searches(monkeypatch):
 
     monkeypatch.setattr(explorer, "check_trichotomy", check)
     monkeypatch.setattr(explorer, "_levels", levels)
-    monkeypatch.setattr(explorer, "solve_tmr", None)
+    assert not hasattr(explorer, "solve_tmr")
     explorer._trichotomy.cache_clear()
     return operands, joins
 
@@ -532,8 +532,8 @@ def test_scans_parallel_match_sequential():
 
 def test_fan_out_keeps_job_order():
     # over _MAX_TOKENS jobs a token claims a run; more workers than jobs
-    # fork one child per job beyond the caller's
-    for count, workers in ((3 * explorer._MAX_TOKENS + 5, 3), (2, 5)):
+    # fork one child per job beyond the caller's; no jobs fork nothing
+    for count, workers in ((3 * explorer._MAX_TOKENS + 5, 3), (2, 5), (0, 1), (0, 2)):
         jobs = [(lambda i: {"index": i}, i) for i in range(count)]
         assert explorer._fan_out(jobs, workers) == [{"index": i} for i in range(count)]
         _assert_no_children()
@@ -597,6 +597,21 @@ def test_internal_schur_probe_matches_public_probe():
             # the validating constructor accepts every enumerated matrix
             M = SymMatGF2(J.n, rows)
             assert _schur_probe(D1, D2, J, M) == schur_probe(D1, D2, M)
+
+
+def test_nth_order_matches_permutations():
+    for n in range(8):
+        for k, order in enumerate(itertools.permutations(range(n))):
+            assert explorer._nth_order(n, k) == order
+
+
+def test_sampled_schur_pair_task_at_the_largest_n2():
+    # J has 11 vertices and 11! orders; a sample draws each order by index
+    D2 = Tournament(8, random.Random(8).getrandbits(28))
+    pair, records = explorer._schur_pair_task(("3:101", encode(D2), 10, 0))
+    assert pair == ["3:101", encode(D2)] and len(records) == 10 + 2
+    # the scan's pointwise checks: B' decycles at rank <= 2, else A' decycles C3
+    assert all(b_ok or (rank == 3 and c3) for rank, b_ok, c3, _ in records)
 
 
 def test_schur_pair_task_enumerated_tallies():

@@ -110,41 +110,31 @@ def test_factor_round_trip_random_n_le_16():
 
 
 def test_full_rank_principal_examples():
-    assert full_rank_principal(SymMatGF2.from_rows([[1, 1], [1, 1]]), 1) == (0,)
-    assert full_rank_principal(SymMatGF2.identity(3), 3) == (0, 1, 2)
+    assert full_rank_principal(SymMatGF2.from_rows([[1, 1], [1, 1]])) == (0,)
+    assert full_rank_principal(SymMatGF2.identity(3)) == (0, 1, 2)
     # zero diagonal, the rank-2 principal pattern from the three rank-2 shapes
-    assert full_rank_principal(SymMatGF2.from_rows([[0, 1], [1, 0]]), 2) == (0, 1)
-
-
-def test_full_rank_principal_max_and_errors():
-    A = SymMatGF2.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 0]])
-    assert full_rank_principal(A, "max") == (0,)
-    with pytest.raises(ValueError, match="infeasible"):
-        full_rank_principal(A, 2)
-    # a target below the rank is refused, and the message names rank(A)
-    H = SymMatGF2.from_rows([[0, 1], [1, 0]])
-    with pytest.raises(ValueError, match=r"below rank\(A\) = 2"):
-        full_rank_principal(H, 1)
+    assert full_rank_principal(SymMatGF2.from_rows([[0, 1], [1, 0]])) == (0, 1)
+    assert full_rank_principal(SymMatGF2.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 0]])) == (0,)
 
 
 def test_full_rank_principal_property_exhaustive_n_le_5():
     def check(rows):
         A = SymMatGF2.from_rows(rows)
         n, k = A.n, rank(A)
-        for r in range(k):
-            with pytest.raises(ValueError):
-                full_rank_principal(A, r)
         first = next(
             S for S in itertools.combinations(range(n), k) if rank(A.principal(S)) == k
         )
-        S = full_rank_principal(A, k)
+        S = full_rank_principal(A)
         assert len(S) == k and rank(A.principal(S)) == k
         assert S == first  # the lexicographically first one
-        assert full_rank_principal(A, "max") == S
 
     for n in range(6):
         for rows in all_symmetric_matrices(n):
             check(rows)
+
+
+def _square(S: SymMatGF2) -> MatGF2:
+    return MatGF2(S.n, S.n, S.rows)
 
 
 def test_inverse_examples():
@@ -154,7 +144,7 @@ def test_inverse_examples():
     B = SymMatGF2.from_rows([[1, 1], [1, 0]])
     Binv = inverse_full_rank(B)
     assert Binv.to_lists() == [[0, 1], [1, 1]]
-    assert mat_mul(B.to_mat(), Binv.to_mat()) == MatGF2.identity(2)
+    assert mat_mul(_square(B), _square(Binv)) == MatGF2.identity(2)
 
 
 def test_inverse_random_and_singular():
@@ -174,7 +164,7 @@ def test_inverse_random_and_singular():
             continue
         found += 1
         inv = inverse_full_rank(A)
-        assert mat_mul(A.to_mat(), inv.to_mat()) == MatGF2.identity(n)
+        assert mat_mul(_square(A), _square(inv)) == MatGF2.identity(n)
         assert SymMatGF2(n, inv.rows) == inv  # the validating constructor accepts it
 
 
@@ -222,7 +212,7 @@ def test_schur_rank_identity_random():
         B = SymMatGF2.from_rows(b_rows)
         Bp = schur_update(Ap, C, B)
         assert rank(block_matrix(Ap, C, B)) == r + rank(Bp)
-        update = mat_mul(mat_mul(C.transpose(), inverse_full_rank(Ap).to_mat()), C)
+        update = mat_mul(mat_mul(C.transpose(), _square(inverse_full_rank(Ap))), C)
         assert Bp.rows == tuple(b ^ u for b, u in zip(B.rows, update.rows))
         assert SymMatGF2(m, Bp.rows) == Bp  # the validating constructor accepts it
         done += 1

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import pickle
@@ -128,6 +129,21 @@ def test_check_trichotomy_examples():
     for n in range(1, 6):
         for T in enumerate_tournaments(n):
             assert check_trichotomy(T).holds
+
+
+def test_trichotomy_holds_reads_the_diagonal_condition_both_ways():
+    r = check_trichotomy(C3)
+    assert (r.gap, r.transitive, r.min_rank_nonzero_diag) == (0, False, True)
+    # gap 0 on a non-transitive tournament needs a minimum-rank matrix with a
+    # nonzero diagonal, and gap 1 needs an even tmr and none
+    assert not dataclasses.replace(r, min_rank_nonzero_diag=False).holds
+    assert not dataclasses.replace(r, inv=2).holds
+    assert not dataclasses.replace(r, inv=3, tmr=2).holds
+    assert dataclasses.replace(r, inv=3, tmr=2, min_rank_nonzero_diag=False).holds
+    assert not dataclasses.replace(r, inv=3).holds
+    # a transitive tournament is exempt from the diagonal condition
+    t = check_trichotomy(decode("3:111"))
+    assert t.holds and dataclasses.replace(t, min_rank_nonzero_diag=True).holds
 
 
 def test_check_trichotomy_matches_solve_inv_on_classes_n_le_7():
