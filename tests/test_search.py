@@ -268,6 +268,37 @@ def test_budget_validation():
         SearchBudget(node_limit=-1)
 
 
+# sha256 of the certificate JSON rows "encoding kind json" of both
+# check_trichotomy certificates for every class with n <= 7 and for a seeded
+# relabelling of each n = 7 class, then of solve_inv's certificate on the
+# recorded n = 11 oriented graphs: every pass outside the node loop (slot
+# relabelling, flip tables, topological orders, gram matrices) must leave
+# each certificate byte for byte as it was
+CERTS7_SHA256 = "2e06e8a4b6e56aaf05ac00b44bfdb9b758c5366436862ad85890d93926934055"
+
+
+def _cert_row(D, cert) -> str:
+    return f"{encode(D)} {cert.kind} {json.dumps(cert.to_json_dict(), sort_keys=True)}"
+
+
+def test_certificates_pinned_on_classes_n_le_7():
+    rng = random.Random(7)
+    graphs = [T for n in range(1, 8) for T in enumerate_tournaments(n)]
+    for T in enumerate_tournaments(7):
+        perm = list(range(7))
+        rng.shuffle(perm)
+        graphs.append(_relabel(T, perm))
+    rows = []
+    for T in graphs:
+        r = check_trichotomy(T)
+        rows += [_cert_row(T, r.inv_certificate), _cert_row(T, r.tmr_certificate)]
+    for e in json.loads(EXPECTED.read_text())["solve"]["o11"]:
+        D = decode(e["graph"])
+        rows.append(_cert_row(D, solve_inv(D).certificate))
+    assert len(rows) == 2 * (1 + 1 + 2 + 4 + 12 + 56 + 2 * 456) + 4
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == CERTS7_SHA256
+
+
 @pytest.mark.parametrize("key", ["classes7", "t10", "t11", "ladder11", "o11"])
 def test_values_match_recorded_expected(key):
     # perfbench/expected.json holds values recorded by an earlier solver; a
