@@ -276,6 +276,32 @@ def topological_order(D: OrientedGraph) -> tuple[int, ...]:
 
 
 def _topological_order_or_none(D: OrientedGraph):
+    """The order topological_order returns, or None when D is cyclic.
+
+    A tournament is acyclic iff it is transitive, and then its one order
+    ranks the vertices by falling score, the vertex of score s at position
+    n-1-s.  So a tournament takes one placement pass by score and one check
+    that each placed vertex beats exactly the vertices after it; a score
+    shared by two vertices leaves some vertex twice in the placement, and
+    the check fails at its earlier copy, whose row would have to hold
+    itself.  Other graphs run source elimination.
+    """
+    if D.is_tournament:
+        n = D.n
+        order = [0] * n
+        for v, row in enumerate(D.out):
+            order[n - 1 - row.bit_count()] = v
+        later = 0
+        for v in reversed(order):
+            if D.out[v] != later:
+                return None
+            later |= 1 << v
+        return tuple(order)
+    return _source_elimination_order(D)
+
+
+def _source_elimination_order(D: OrientedGraph):
+    """Lexicographically least topological order by repeated least-source removal, or None."""
     # in-neighbours are the adjacent vertices that are not out-neighbours
     into = [a & ~o for a, o in zip(D.adj, D.out)]
     remaining = (1 << D.n) - 1
@@ -349,12 +375,31 @@ def induced(D: OrientedGraph, vertices: Iterable[int]) -> OrientedGraph:
 
 
 def _relabel(D: OrientedGraph, order: Sequence[int]) -> OrientedGraph:
-    """The subgraph induced on the distinct vertices `order`, with order[k] renamed k."""
+    """The subgraph induced on the distinct vertices `order`, with order[k] renamed k.
+
+    Each row keeps the bits of `order` and maps them by walking its set
+    bits through bit[v], vertex v's new bit.  A tournament's induced subgraphs are
+    tournaments, so only other graphs map their adj rows too.
+    """
+    bit = [0] * D.n
+    keep = 0
+    for k, v in enumerate(order):
+        bit[v] = 1 << k
+        keep |= 1 << v
 
     def row(r: int) -> int:
-        return sum(((r >> v) & 1) << k for k, v in enumerate(order))
+        acc = 0
+        r &= keep
+        while r:
+            low = r & -r
+            acc |= bit[low.bit_length() - 1]
+            r ^= low
+        return acc
 
-    return _make(len(order), [row(D.out[v]) for v in order], [row(D.adj[v]) for v in order])
+    out = [row(D.out[v]) for v in order]
+    if D.is_tournament:
+        return _make(len(order), out)
+    return _make(len(order), out, [row(D.adj[v]) for v in order])
 
 
 def transitive_tournament(order: Sequence[int]) -> Tournament:

@@ -914,6 +914,11 @@ def _schur_pair_task(args) -> tuple[list, list]:
     return [enc1, enc2], records
 
 
+# exhaustive pairs took 0.79 s at n2 = 4 and 6.8 s at n2 = 5 (about 2.7 min
+# for the whole scope); n2 = 6 would take about 1.9 h
+_SCHUR_EXHAUSTIVE_N2_MAX = 5
+
+
 def scan_schur_3x3(
     n2_max: int = 3,
     samples: Optional[int] = None,
@@ -934,7 +939,17 @@ def scan_schur_3x3(
     failure somewhere in the scan exactly when it decycles the triangle.
     The converse direction needs n2_max >= 3, since a failure requires
     three occupied gaps in the final vertex order.
+
+    An exhaustive pair enumerates all (3 + n2)! * 2^3 matrices, so an
+    exhaustive scope past n2_max = 5 (minutes) would run for hours and is
+    refused with ValueError; a sampled scope of any size is accepted.
     """
+    if samples is None and n2_max > _SCHUR_EXHAUSTIVE_N2_MAX:
+        raise ValueError(
+            f"an exhaustive scan schur-3x3 at --n2 {n2_max} enumerates (3 + n2)! * 8"
+            f" matrices per pair and would run for hours; use --n2"
+            f" {_SCHUR_EXHAUSTIVE_N2_MAX} or less, or sample each pair with --budget"
+        )
     scope = {
         "scan": "schur-3x3",
         "n2_max": n2_max,

@@ -158,14 +158,19 @@ def rank(M: Matrix) -> int:
 
 
 def gram(X: MatGF2) -> SymMatGF2:
-    """X X^T: pairwise dot products of the rows of X, mod 2."""
-    rows = []
-    for i in range(X.nrows):
-        ri = X.rows[i]
-        acc = 0
-        for j in range(X.nrows):
-            acc |= ((ri & X.rows[j]).bit_count() & 1) << j
-        rows.append(acc)
+    """X X^T: pairwise dot products of the rows of X, mod 2.
+
+    Entry (i, j) sums X[i, c] X[j, c] over the columns c, so row i is the
+    XOR of the columns (read as row masks) that have a 1 in row i: one XOR
+    per 1-entry of X.
+    """
+    rows = [0] * X.nrows
+    for col in X.transpose().rows:
+        m = col
+        while m:
+            low = m & -m
+            rows[low.bit_length() - 1] ^= col
+            m ^= low
     return _trusted_sym(X.nrows, rows)
 
 

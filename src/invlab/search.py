@@ -41,7 +41,11 @@ and node counts (one per accepted placement) can only fall.
 
 The slots are formed once per solve: _levels orders the vertices by
 _assignment_order and relabels D into that order (digraph._relabel), so
-vertex s of the one graph every level searches is slot s.
+vertex s of the one graph every level searches is slot s.  The tournament
+kernel's table of out bits between slots is built once per solve as well:
+_flip_table holds -1 where a width-m table would hold the full set
+2^(2^m) - 1, which serves every width under &, and its one-entry cache is
+keyed by the slot rows, so every level and pass of a solve reads one table.
 
 One level loop (_levels) serves every solver.  Level k tries width k under
 the dot product x.y.  With the rank pass on, an even level k > 0 where that
@@ -83,7 +87,6 @@ from .digraph import (
     VertexFamily,
     _relabel,
     encode,
-    is_acyclic,
 )
 
 
@@ -155,18 +158,17 @@ def _assignment_order(D: OrientedGraph) -> list[int]:
     the search deterministic.
     """
     out = D.out
-    n = D.n
-    into = [a & ~o for a, o in zip(D.adj, out)]
     score = []
-    for v in range(n):
+    for a, o in zip(D.adj, out):
+        into = a & ~o
         c = 0
-        m = out[v]
-        while m:
-            w = (m & -m).bit_length() - 1
-            c += (out[w] & into[v]).bit_count()
-            m &= m - 1
+        while o:
+            low = o & -o
+            c += (out[low.bit_length() - 1] & into).bit_count()
+            o ^= low
         score.append(c)
-    return sorted(range(n), key=lambda v: (-score[v], v))
+    # a stable sort keeps ties in index order, reverse=True included
+    return sorted(range(D.n), key=score.__getitem__, reverse=True)
 
 
 @lru_cache(maxsize=None)
@@ -220,15 +222,35 @@ def _level_search(
     return _search_general(D.n, D.out, D.adj, m, counter=counter)
 
 
+# _BYTE_FLIPS[b][t] = 0 if bit t of the byte b is set, else -1
+_BYTE_FLIPS = tuple(tuple(-(~b >> t & 1) for t in range(8)) for b in range(256))
+
+
+@lru_cache(maxsize=1)
+def _flip_table(out_slots: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """flip[i][t] = 0 if slot i's out bit toward t is set, else -1.
+
+    odd[t] ^ flip[i][t] is then {x : slot i loses to t}, as a 2^m-bit set
+    read under & with the subsets of full the kernel keeps, whatever m is:
+    -1 works as every width's full set.  So one table serves every level
+    and pass of a solve, and the one-entry cache keyed by the slot rows
+    builds it once per solve.  Rows are spliced from _BYTE_FLIPS a byte at
+    a time; up to 8 slots a row is one byte.
+    """
+    n = len(out_slots)
+    if n <= 8:
+        return tuple([_BYTE_FLIPS[o][:n] for o in out_slots])
+    chunks = range(0, n, 8)
+    return tuple([sum([_BYTE_FLIPS[o >> c & 255] for c in chunks], ())[:n] for o in out_slots])
+
+
 def _search_tournament(n, out_slots, m, *, counter, even):
     full = (1 << (1 << m)) - 1
     par = _parity_sets(m)
     all_tied = (1 << max(m - 1, 0)) - 1  # bit j: columns j, j+1 still equal
     # x.x is the weight of x mod 2, so the even-weight x are full ^ P[all ones]
     allowed = full ^ par[(1 << m) - 1] if even else full
-    # flip[i][t] is 0 if slot i's out bit toward t is set, else full, so that
-    # odd[t] ^ flip[i][t] holds the x for which slot i loses to t
-    flip = [[0 if (o >> t) & 1 else full for t in range(n)] for o in out_slots]
+    flip = _flip_table(out_slots)
     vecs = [0] * n
     odd = [0] * n  # odd[t] = par[vecs[t]]
     order: list[int] = []  # assigned slots, transitive order, winners first
@@ -461,7 +483,7 @@ def check_trichotomy(T: Tournament, budget: Optional[SearchBudget] = None) -> Tr
     """Compute inv and tmr and report every fact of the inv/tmr trichotomy."""
     _require_tournament(T)
     k, family = _levels(T, budget or SearchBudget(), rank_pass=True)
-    # One run of the rank-pass loop answers both questions.  It tries width j
+    # Level 0 flips nothing, so it succeeds exactly on the acyclic T.  One run of the rank-pass loop answers both questions.  It tries width j
     # under the dot product at every level j <= k, the same passes solve_inv
     # makes, so every width below the returned one failed: inv = k when width
     # k succeeded, and inv = k+1 when only the even-weight pass did, whose
@@ -474,7 +496,7 @@ def check_trichotomy(T: Tournament, budget: Optional[SearchBudget] = None) -> Tr
         encoding=encode(T),
         inv=family.m,
         tmr=tmr_res.value,
-        transitive=is_acyclic(T),
+        transitive=k == 0,
         min_rank_nonzero_diag=tmr_res.min_rank_nonzero_diag,
         inv_certificate=Certificate("family", family, family.m, tmr_res.certificate.order),
         tmr_certificate=tmr_res.certificate,

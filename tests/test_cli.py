@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from invlab.cli import main
+from invlab.explorer import run_scan
 
 
 def run_cli(*argv):
@@ -150,6 +151,18 @@ def test_scan_budget_flags_are_explicit():
         assert code == 0
     code, text = run_cli("scan", "schur-3x3", "--n2", "2", "--node-limit", "100")
     assert code == 2 and "--node-limit" in text
+
+
+def test_exhaustive_schur_scope_past_n2_5_is_refused():
+    # an exhaustive n2 = 6 scope would run for hours; a sampled one of the
+    # same size is accepted, and so is the exhaustive n2 = 5 scope (not run)
+    for n2 in ("6", "8"):
+        code, text = run_cli("scan", "schur-3x3", "--n2", n2)
+        assert code == 2 and "--n2" in text and "--budget" in text, text
+    with pytest.raises(ValueError, match="--budget"):
+        run_scan("schur-3x3", n2_max=6)
+    code, text = run_cli("scan", "schur-3x3", "--n2", "6", "--budget", "1", "--json")
+    assert code == 0 and json.loads(text)["scope"]["n2_max"] == 6
 
 
 def test_budget_is_only_the_schur_sample_count():

@@ -399,6 +399,39 @@ def test_level_search_nodes_on_classes_n7():
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == NODES7_SHA256
 
 
+def test_one_flip_table_serves_every_width(monkeypatch):
+    # _flip_table holds -1 where a per-width table held full = 2^(2^m) - 1;
+    # the kernel reads it only under & with subsets of full, so each level
+    # must return the same vectors after the same nodes, or reach the node
+    # limit at the same count, as with the per-width table
+    def per_width(m):
+        full = (1 << (1 << m)) - 1
+        return lambda out: [[0 if (o >> t) & 1 else full for t in range(len(out))] for o in out]
+
+    def run(S, m, even):
+        counter = _Nodes(20_000)
+        try:
+            found = _level_search(S, m, counter=counter, even=even)
+        except search._NodeLimit:
+            found = "limit"
+        return found, counter.used
+
+    shared = search._flip_table
+    outcomes = set()
+    # n = 7 and 8 read one byte per row, n = 10-12 splice two
+    for n in (7, 8, 10, 11, 12):
+        T = Tournament(n, random.Random(n).getrandbits(pair_count(n)))
+        S = _relabel(T, _assignment_order(T))
+        for m in range(6):
+            for even in (False, True):
+                got = run(S, m, even)
+                monkeypatch.setattr(search, "_flip_table", per_width(m))
+                assert run(S, m, even) == got, (n, m, even)
+                monkeypatch.setattr(search, "_flip_table", shared)
+                outcomes.add("limit" if got[0] == "limit" else got[0] is None)
+    assert outcomes == {True, False, "limit"}
+
+
 # three of the 280 classes with n = 8 and inv = tmr + 1 = 3
 GAP8 = (
     "8:0000001000010000000100001111",
