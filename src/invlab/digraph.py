@@ -378,8 +378,8 @@ def _relabel(D: OrientedGraph, order: Sequence[int]) -> OrientedGraph:
     """The subgraph induced on the distinct vertices `order`, with order[k] renamed k.
 
     Each row keeps the bits of `order` and maps them by walking its set
-    bits through bit[v], vertex v's new bit.  A tournament's induced subgraphs are
-    tournaments, so only other graphs map their adj rows too.
+    bits through bit[v], vertex v's new bit.  A tournament's induced
+    subgraphs are tournaments, so only other graphs map their adj rows.
     """
     bit = [0] * D.n
     keep = 0

@@ -914,8 +914,8 @@ def _schur_pair_task(args) -> tuple[list, list]:
     return [enc1, enc2], records
 
 
-# exhaustive pairs took 0.79 s at n2 = 4 and 6.8 s at n2 = 5 (about 2.7 min
-# for the whole scope); n2 = 6 would take about 1.9 h
+# on a 2-core host an exhaustive pair took 0.79 s at n2 = 4 and 6.8 s at
+# n2 = 5 (2.7 min for the whole scope); n2 = 6 would take about 1.9 h
 _SCHUR_EXHAUSTIVE_N2_MAX = 5
 
 

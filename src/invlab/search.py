@@ -483,7 +483,8 @@ def check_trichotomy(T: Tournament, budget: Optional[SearchBudget] = None) -> Tr
     """Compute inv and tmr and report every fact of the inv/tmr trichotomy."""
     _require_tournament(T)
     k, family = _levels(T, budget or SearchBudget(), rank_pass=True)
-    # Level 0 flips nothing, so it succeeds exactly on the acyclic T.  One run of the rank-pass loop answers both questions.  It tries width j
+    # Level 0 flips nothing, so it succeeds exactly when T is transitive.
+    # One run of the rank-pass loop answers both questions.  It tries width j
     # under the dot product at every level j <= k, the same passes solve_inv
     # makes, so every width below the returned one failed: inv = k when width
     # k succeeded, and inv = k+1 when only the even-weight pass did, whose

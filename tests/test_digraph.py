@@ -21,7 +21,7 @@ from invlab import (
     transitive_tournament,
 )
 from invlab import digraph
-from oracles import all_oriented_graphs, arcs_induced, dfs_acyclic
+from oracles import all_oriented_graphs, dfs_acyclic
 
 
 def all_tournaments(n):
@@ -216,12 +216,6 @@ def test_topological_order_is_lex_least():
         topological_order(decode("3:101"))
 
 
-def _random_arcs(n, rng, density=1.0):
-    """A random arc list on n vertices; each pair is present with the given probability."""
-    return [(u, v) if rng.random() < 0.5 else (v, u)
-            for u in range(n) for v in range(u + 1, n) if rng.random() < density]
-
-
 def test_tournament_topological_order_against_source_elimination():
     # the tournament branch places vertices by score and checks the rows;
     # it must agree with source elimination, which never looks at scores,
@@ -229,8 +223,7 @@ def test_tournament_topological_order_against_source_elimination():
     rng = random.Random(5)
     graphs = [T for n in range(6) for T in all_tournaments(n)]
     for n in range(6, 13):
-        for _ in range(20):
-            graphs.append(OrientedGraph(n, _random_arcs(n, rng)))
+        graphs += [Tournament(n, rng.getrandbits(n * (n - 1) // 2)) for _ in range(20)]
         perm = list(range(n))
         rng.shuffle(perm)
         acyclic = transitive_tournament(perm)
@@ -250,26 +243,6 @@ def test_tournament_topological_order_against_source_elimination():
         assert (order is None) == (not dfs_acyclic(T)), encode(T)
         cyclic += order is None
     assert 0 < cyclic < len(graphs)
-
-
-def test_relabel_against_arcs_oracle():
-    # full orders and subsets, in any order, of tournaments and of oriented
-    # graphs with absent pairs; the oracle renumbers the built arc list
-    rng = random.Random(6)
-    for _ in range(200):
-        n = rng.randint(0, 12)
-        arcs = _random_arcs(n, rng, rng.choice((1.0, 0.85, 0.4)))
-        D = OrientedGraph(n, arcs)
-        order = list(range(n))
-        rng.shuffle(order)
-        for sub in (order, order[: rng.randint(0, n)]):
-            R = digraph._relabel(D, sub)
-            assert R.n == len(sub)
-            assert set(R.arcs()) == arcs_induced(arcs, sub)
-            complete = len(R.arcs()) == R.n * (R.n - 1) // 2
-            assert R.is_tournament == complete and isinstance(R, Tournament) == complete
-            if sub == sorted(sub):
-                assert R == induced(D, sub)
 
 
 def test_vertex_limit_boundary():

@@ -147,7 +147,7 @@ def test_dijoin_matches_oracle(g1, g2):
 
 
 @settings(deadline=None)
-@given(arc_lists(), st.data())
+@given(st.one_of(arc_lists(), arc_lists(tournament=True)), st.data())
 def test_induced_and_reverse_match_oracle(graph, data):
     n, arcs = graph
     D = OrientedGraph(n, arcs)
@@ -156,9 +156,13 @@ def test_induced_and_reverse_match_oracle(graph, data):
     check_rows(sub)
     assert set(sub.arcs()) == arcs_induced(arcs, sorted(vertices))
     perm = data.draw(st.permutations(range(n)))
-    moved = _relabel(D, perm)
-    check_rows(moved)
-    assert set(moved.arcs()) == arcs_induced(arcs, perm)
+    # a whole relabelling, and a subset taken in any order
+    for order in (perm, [v for v in perm if v in vertices]):
+        moved = _relabel(D, order)
+        check_rows(moved)
+        assert set(moved.arcs()) == arcs_induced(arcs, order)
+        complete = len(moved.arcs()) == len(order) * (len(order) - 1) // 2
+        assert isinstance(moved, Tournament) == moved.is_tournament == complete
     rev = reverse(D)
     check_rows(rev)
     assert set(rev.arcs()) == arcs_reverse(arcs)
