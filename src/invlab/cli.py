@@ -155,14 +155,22 @@ def _cmd_scan(args, out) -> int:
             print("error: scan schur-3x3 runs no search budget; --node-limit does not apply"
                   " (--budget sets its sample count)", file=out)
             return EXIT_USAGE
+        if args.n1 is not None:
+            print("error: scan schur-3x3 takes every 3-vertex D1; --n1 does not apply"
+                  " (--n2 sets the D2 sizes)", file=out)
+            return EXIT_USAGE
         params["n2_max"] = args.n2 if args.n2 is not None else 3
         if args.budget is not None:
             params["samples"] = args.budget
-        params["seed"] = args.seed
+        params["seed"] = args.seed if args.seed is not None else 0
     else:
         if args.budget is not None:
             print("error: --budget is the sample count of scan schur-3x3;"
                   " use --node-limit to cap the search nodes of this scan", file=out)
+            return EXIT_USAGE
+        if args.seed is not None:
+            print(f"error: scan {args.conjecture} samples nothing; --seed applies to"
+                  " scan schur-3x3 with --budget", file=out)
             return EXIT_USAGE
         params["n1"] = args.n1 if args.n1 is not None else 3
         params["n2"] = args.n2 if args.n2 is not None else 3
@@ -259,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n1", type=size, default=None, help="max size of the first operand")
     p.add_argument("--n2", type=size, default=None, help="max size of the second operand")
     p.add_argument("--budget", type=count, default=None, help="schur-3x3 sample count")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled scans")
+    p.add_argument("--seed", type=int, default=None, help="schur-3x3 sample seed (default 0)")
     p.set_defaults(fn=_cmd_scan)
 
     return parser

@@ -33,21 +33,21 @@ job per pair.
 
 The theorem scan and the two pair scans (tmr additivity and the inv lower
 bound) ask each join question once, through `_questions`.  Every operand
-class is answered first, by one check_trichotomy.  A tournament is the
-n-join of its strong components, so the canonical forms of the components
-of an n-join, in join order, are an exact isomorphism key, and each
-distinct key is one job.  Its search stops at the operands' bound: the
-union of their minimum families decycles the join (no cross arc lies on a
-cycle), so the level of the sum of their inv, or of their tmr, is replayed
-from that union instead of searched.  A node limit therefore applies to
-each question's search, and a question that runs out leaves every instance
-that asks it inconclusive; an operand whose search runs out leaves
-inconclusive only the instances that read it to choose their questions or
-join it in one.  Reversing every arc keeps inv and tmr and maps D1 -> D2
-to D2^c -> D1^c, so the pair scans key a question by the lesser of its key
-and its converse's.  The theorem scan keys plainly: its switch check
-compares inv(D1 -> D2) with inv(D2 -> D1), and with self-converse operands
-a converse key would answer both from one search.
+class is answered exactly, by one unbudgeted check_trichotomy.  A
+tournament is the n-join of its strong components, so the canonical forms
+of the components of an n-join, in join order, are an exact isomorphism
+key, and each distinct key is one job that searches the n-join of the
+key's own components, whatever instance asked it first.  Its search stops
+at the components' bound: the union of their minimum families decycles
+the join (no cross arc lies on a cycle), so the level of the sum of their
+inv, or of their tmr, is replayed from that union instead of searched.  A
+node limit applies to each join question's search alone, and a question
+that runs out leaves every instance that asks it inconclusive.  Reversing
+every arc keeps inv and tmr and maps D1 -> D2 to D2^c -> D1^c, so the pair
+scans key a question by the lesser of its key and its converse's.  The
+theorem scan keys plainly: its switch check compares inv(D1 -> D2) with
+inv(D2 -> D1), and with self-converse operands a converse key would answer
+both from one search.
 """
 
 from __future__ import annotations
@@ -402,8 +402,14 @@ def _scan(scope: dict, plan, workers: int, fold) -> ScanReport:
 
 
 @lru_cache(maxsize=None)
-def _trichotomy(enc: str, node_limit: Optional[int] = None) -> TrichotomyReport:
-    return check_trichotomy(decode(enc), SearchBudget(node_limit=node_limit))
+def _trichotomy(enc: str) -> TrichotomyReport:
+    """check_trichotomy of a class, unbudgeted: the exact answer, once per class.
+
+    A scan's classes come from _class_encodings, so n <= MAX_CANONICAL_N = 8,
+    and every class with n <= 8 is answered in at most 648 search nodes, a
+    few milliseconds: a node limit would bound nothing a scan can spend here.
+    """
+    return check_trichotomy(decode(enc))
 
 
 def _components(T: Tournament) -> list[list[int]]:
@@ -435,28 +441,26 @@ def _component_key(T: Tournament) -> tuple[str, ...]:
     return tuple(_packed_text(len(c), _canonical_int(induced(T, c).out)) for c in _components(T))
 
 
-def _operand(enc: str, node_limit: Optional[int]):
-    """(check_trichotomy report, key, converse key) of a class, or why its search ran out."""
-    try:
-        rep = _trichotomy(enc, node_limit)
-    except Inconclusive as exc:
-        return exc.reason
+def _operand(enc: str):
+    """(check_trichotomy report, key, converse key) of a class."""
     T = decode(enc)
-    return rep, _component_key(T), _component_key(reverse(T))
+    return _trichotomy(enc), _component_key(T), _component_key(reverse(T))
 
 
 def _join_task(args) -> int | str:
-    """The n-join's value, tmr with rank_pass else inv, or why its search ran out.
+    """The n-join of a key's components searched in that labelling, so its
+    outcome is the key's alone: tmr with rank_pass else inv, or why it ran out.
 
-    The union of the operands' minimum families, each shifted by the
+    The union of the components' minimum families, each shifted by the
     vertices before it, decycles the join, since every cross arc runs
     forward in join order and so lies on no cycle.  It has as many sets as
     their inv sum, and its gram matrix is block diagonal of rank their tmr
     sum, so the level loop stops at that sum and the union is replayed
     instead of searched.
     """
-    encs, reps, rank_pass, node_limit = args
-    parts = [decode(enc) for enc in encs]
+    key, rank_pass, node_limit = args
+    parts = [decode(enc) for enc in key]
+    reps = [_trichotomy(enc) for enc in key]
     J = njoin(parts)
     sets, shift = [], 0
     for D, rep in zip(parts, reps):
@@ -472,25 +476,10 @@ def _join_task(args) -> int | str:
         # both raise when the union does not decycle J
         if rank_pass:
             if matrix_certificate(J, family_to_matrix(union)).value != bound:
-                raise AssertionError("the operands' union misses their tmr bound")
+                raise AssertionError("the components' union misses their tmr bound")
         else:
             family_certificate(J, union)
     return k
-
-
-class _RanOut(Exception):
-    """Raised by reading the report of an operand whose search ran out."""
-
-
-class _NoReport:
-    """The report of an operand whose search ran out: reading a field raises
-    _RanOut with the reason."""
-
-    def __init__(self, reason: str):
-        self.reason = reason
-
-    def __getattr__(self, name):
-        raise _RanOut(self.reason)
 
 
 def _questions(tuples, ask, rank_pass: bool, converse: bool, node_limit: Optional[int]):
@@ -500,52 +489,34 @@ def _questions(tuples, ask, rank_pass: bool, converse: bool, node_limit: Optiona
     ask(reports) names an instance's questions, each a tuple of operand
     positions in join order.  A question is keyed by its operands' keys in
     that order or, with converse, by the lesser of that and the key of the
-    reversed join; each distinct key is one _join_task job.  An instance's
-    row is (its operands' reports, its questions' values), or the reason it
-    is inconclusive: the first operand that ran out among those ask reads,
-    else among its questions' operands, else the first of its questions
-    that ran out.  An operand that neither needs may have run out, its
-    report then a _NoReport.
+    reversed join; each distinct key is one _join_task job, the only
+    searches the node limit caps.  An instance's row is (its operands'
+    reports, its questions' values), or the reason of its first question
+    that ran out.
     """
     operands: dict = {}  # class -> _operand
-    keys: dict = {}
-    jobs = []
-    instances = []  # (classes, reports or a reason, the job of each question)
+    keys: dict = {}  # key -> its job's index
+    instances = []  # (classes, reports, the job of each question)
     for encs in tuples:
         for enc in encs:
             if enc not in operands:
-                operands[enc] = _operand(enc, node_limit)
+                operands[enc] = _operand(enc)
         ops = [operands[enc] for enc in encs]
-        reps = tuple(_NoReport(op) if isinstance(op, str) else op[0] for op in ops)
-        try:
-            joins = ask(reps)
-        except _RanOut as exc:
-            reason = exc.args[0]
-        else:
-            needed = sorted({i for join in joins for i in join})
-            reason = next((ops[i] for i in needed if isinstance(ops[i], str)), None)
-        if reason is not None:
-            instances.append((encs, reason, []))
-            continue
+        reps = tuple(op[0] for op in ops)
         asked = []
-        for join in joins:
+        for join in ask(reps):
             key = sum((ops[i][1] for i in join), ())
             if converse:
                 key = min(key, sum((ops[i][2] for i in reversed(join)), ()))
-            ix = keys.setdefault(key, len(jobs))
-            if ix == len(jobs):
-                operands_of = tuple(encs[i] for i in join), tuple(reps[i] for i in join)
-                jobs.append((_join_task, operands_of + (rank_pass, node_limit)))
-            asked.append(ix)
-        instances.append((encs, reps, asked))
+            asked.append(keys.setdefault(key, len(keys)))
+        instances.append((list(encs), reps, asked))
+    jobs = [(_join_task, (key, rank_pass, node_limit)) for key in keys]
 
     def outcomes(values: list) -> list:
         done = []
-        for encs, row, asked in instances:
+        for encs, reps, asked in instances:
             got = [values[ix] for ix in asked]
-            if not isinstance(row, str):
-                row = next((v for v in got if isinstance(v, str)), (row, got))
-            done.append((list(encs), row))
+            done.append((encs, next((v for v in got if isinstance(v, str)), (reps, got))))
         return done
 
     return jobs, outcomes
@@ -582,6 +553,11 @@ def _theorem_checks(instance: list, reps, values: list) -> list[dict]:
     return checks
 
 
+# on a 2-core host with 2 workers, the triples of max_each = 5 took 7.3 s up
+# to 13 vertices and 27.5 s up to 14; up to 15 they ran past 15 min
+_THEOREMS_EXHAUSTIVE_N_MAX = 14
+
+
 def verify_dijoin_theorems(
     max_total: Optional[int] = None,
     max_each: Optional[int] = None,
@@ -604,11 +580,27 @@ def verify_dijoin_theorems(
     do, but keyed plainly, not up to converse: with self-converse operands
     the converse key of D2 -> D1 is the key of D1 -> D2, and one search
     would answer both sides of the switch check.
+
+    Without a node limit, a scope whose largest pair or triple has more
+    than _THEOREMS_EXHAUSTIVE_N_MAX vertices would run for hours, and is
+    refused with ValueError.
     """
     if max_total is None and max_each is None:
         max_each = 3
     if triple_total is None:
         triple_total = max_total if max_total is not None else 3 * max_each
+
+    def largest(count: int, total: Optional[int]) -> int:
+        each = count * (max_each if max_each is not None else total)
+        return each if total is None else min(each, total)
+
+    n = max(largest(2, max_total), largest(3, triple_total))
+    if node_limit is None and n > _THEOREMS_EXHAUSTIVE_N_MAX:
+        raise ValueError(
+            f"an unbudgeted verify-theorems scope joins up to {n} vertices and would run"
+            f" for hours; use --max-n {_THEOREMS_EXHAUSTIVE_N_MAX // 3} or less, or cap"
+            f" each join question's search with --node-limit"
+        )
     scope = {
         "scan": "dijoin-theorems",
         "max_total": max_total,
@@ -902,10 +894,9 @@ def _schur_pair_task(args) -> tuple[list, list]:
         rows = [r | (k & (1 << i)) for i, r in enumerate(flips[oi])]
         records.append(_schur_probe(D1, D2, J, _trusted_sym(J.n, rows)))
     # minimum-rank certificates are probed too: the dijoin's, and the block
-    # diagonal of the operands' from the per-class cache, keyed with None as
-    # _operand keys it (lru_cache keys f(x) and f(x, None) apart)
+    # diagonal of the operands' from the per-class cache
     records.append(_schur_probe(D1, D2, J, check_trichotomy(J).tmr_certificate.payload))
-    blocks = [_trichotomy(enc, None).tmr_certificate.payload for enc in (enc1, enc2)]
+    blocks = [_trichotomy(enc).tmr_certificate.payload for enc in (enc1, enc2)]
     records.append(_schur_probe(D1, D2, J, SymMatGF2.block_diag(*blocks)))
     records = [
         (rec.a_rank, rec.b_prime_decycles, rec.a_prime_decycles_c3, rec.a_prime_class)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from invlab import explorer
 from invlab.cli import main
 from invlab.explorer import run_scan
 
@@ -163,6 +164,35 @@ def test_exhaustive_schur_scope_past_n2_5_is_refused():
         run_scan("schur-3x3", n2_max=6)
     code, text = run_cli("scan", "schur-3x3", "--n2", "6", "--budget", "1", "--json")
     assert code == 0 and json.loads(text)["scope"]["n2_max"] == 6
+
+
+def test_unbudgeted_theorem_scope_past_14_vertices_is_refused(monkeypatch):
+    # --max-n 5 builds three-joins of 15 vertices, which would run for hours
+    # without a node limit; with one the same scope runs
+    code, text = run_cli("verify-theorems", "--max-n", "5")
+    assert code == 2 and "--max-n" in text and "--node-limit" in text, text
+    with pytest.raises(ValueError, match="--node-limit"):
+        run_scan("dijoin-theorems", max_each=5)
+    with pytest.raises(ValueError, match="--node-limit"):
+        run_scan("dijoin-theorems", max_total=15)
+    code, text = run_cli("verify-theorems", "--max-n", "5", "--node-limit", "1", "--json")
+    assert code == 3 and json.loads(text)["scope"]["triple_total"] == 15
+    # scopes of at most 14 vertices are accepted (planned, not run here)
+    monkeypatch.setattr(explorer, "_scan", lambda *args: "accepted")
+    for params in ({"max_each": 5, "triple_total": 14}, {"max_total": 14}, {"max_each": 4},
+                   {"max_total": 8, "triple_total": 8}):
+        assert run_scan("dijoin-theorems", **params) == "accepted", params
+
+
+def test_scan_flags_the_scan_does_not_read_are_refused():
+    code, text = run_cli("scan", "schur-3x3", "--n1", "6", "--n2", "2")
+    assert code == 2 and "--n1" in text, text
+    for conjecture in ("tmr-additivity", "inv-lower-bound"):
+        code, text = run_cli("scan", conjecture, "--n1", "3", "--n2", "3", "--seed", "5")
+        assert code == 2 and "--seed" in text, text
+    # schur-3x3 without --seed keeps seed 0 in its scope
+    code, text = run_cli("scan", "schur-3x3", "--n2", "2", "--budget", "1", "--json")
+    assert code == 0 and json.loads(text)["scope"]["seed"] == 0
 
 
 def test_budget_is_only_the_schur_sample_count():

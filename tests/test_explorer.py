@@ -136,7 +136,7 @@ def test_dijoin_pair_task_reads_d2_off_one_search():
     # D2 has inv 3 and tmr 2, so inv2 must come from the tmr search's
     # even-weight pass, of width 3; no class with n <= 7 has a gap
     gap = "10:010100000111011100001001111110010000111110100"
-    rep = explorer._trichotomy(gap, None)
+    rep = explorer._trichotomy(gap)
     assert (rep.tmr, rep.min_rank_nonzero_diag, rep.inv) == (2, False, 3)
     jobs, values, (pair, (reps, got)) = _theorem_jobs(("3:101", gap))
     assert reps[1] is rep and got == values == [3, 3]
@@ -145,9 +145,12 @@ def test_dijoin_pair_task_reads_d2_off_one_search():
         for c in explorer._theorem_checks(pair, reps, got)
     }
     assert checks == {"dijoin-switch": (3, 3), "dijoin-gap-equivalence": (True, True)}
-    # an exhausted budget on an operand makes the pair one entry and asks nothing
-    jobs, _, outcome = _theorem_jobs(("3:101", gap), 5)
-    assert jobs == [] and outcome == (["3:101", gap], "node limit 5 reached at level 1")
+    # a node limit caps the join searches alone: the operands are still
+    # answered exactly, both questions are asked, and the pair is one entry
+    # with the reason of its first question
+    jobs, values, outcome = _theorem_jobs(("3:101", gap), 5)
+    assert len(jobs) == 2 and values == ["node limit 5 reached at level 1"] * 2
+    assert outcome == (["3:101", gap], values[0])
 
 
 def test_dijoin_pair_task_records_each_inconclusive_dijoin_once():
@@ -193,7 +196,7 @@ def test_theorem_scan_searches_each_direction_of_a_pair():
     # converse key of 2:1 -> C3 is the key of C3 -> 2:1: keyed by converse,
     # one search would read both sides of the switch check
     jobs, values, (pair, (reps, _)) = _theorem_jobs(("3:101", "2:1"))
-    assert [args[0] for _, args in jobs] == [("3:101", "2:1"), ("2:1", "3:101")]
+    assert [args[0] for _, args in jobs] == [("3:010", "1:", "1:"), ("1:", "1:", "3:010")]
     assert values == [1, 1]
     # and the switch check reads one value from each
     checks = explorer._theorem_checks(pair, reps, [1, 2])
@@ -279,14 +282,17 @@ def test_inv_bound_pair_task_searches_each_operand_once(monkeypatch):
         {frozenset({canonical_form(J), canonical_form(reverse(J))}) for J, _, _ in joins}
     )
     assert all(not rank_pass and upper is not None for _, rank_pass, upper in joins)
-    # one job: the operands' reports in, the dijoin's inv out, one loop
+    # one job: its key in, the dijoin's inv out; each component class of the
+    # key is answered once, and one loop searches the n-join of the key
     operands.clear()
     joins.clear()
-    enc1, enc2 = "3:101", "5:1010110100"
-    rep1, rep2 = explorer._trichotomy(enc1), explorer._trichotomy(enc2)
-    J = dijoin(decode(enc1), decode(enc2))
-    assert explorer._join_task(((enc1, enc2), (rep1, rep2), False, None)) == solve_inv(J).value
-    assert operands == [enc1, enc2] and [encode(D) for D, _, _ in joins] == [encode(J)]
+    explorer._trichotomy.cache_clear()
+    J = dijoin(decode("3:101"), decode("5:1010110100"))
+    key = explorer._component_key(J)
+    assert key == ("3:010", "1:", "3:010", "1:")
+    assert explorer._join_task((key, False, None)) == solve_inv(J).value
+    assert operands == ["3:010", "1:"]
+    assert [encode(D) for D, _, _ in joins] == [encode(njoin([decode(e) for e in key]))]
 
 
 def test_join_task_stops_at_the_operands_bound_on_a_gap_operand(monkeypatch):
@@ -303,9 +309,9 @@ def test_join_task_stops_at_the_operands_bound_on_a_gap_operand(monkeypatch):
         return k, family
 
     monkeypatch.setattr(explorer, "_levels", levels)
-    rep1, rep2 = explorer._trichotomy("3:101"), explorer._trichotomy(gap)
+    key = explorer._component_key(dijoin(C3, decode(gap)))
     for rank_pass in (True, False):
-        assert explorer._join_task((("3:101", gap), (rep1, rep2), rank_pass, None)) == 3
+        assert explorer._join_task((key, rank_pass, None)) == 3
     assert returned == [(True, 3, 3, True), (False, 4, 3, False)]
 
 
@@ -380,23 +386,65 @@ def test_a_node_limit_applies_per_join_question(scan):
     assert all(not questions(tup) <= answered for tup in out)
 
 
-def test_only_a_needed_operand_leaves_an_instance_inconclusive():
-    # at node limit 5 the search for 3:010 runs out, but a triple whose D1
-    # is transitive (inv 0) asks no question and reads nothing of D2 or D3,
-    # so it is settled; a pair asks both of its joins, so it needs both
-    # operands, and so does a triple whose D1 and D2 have inv 1
+def test_only_a_question_that_ran_out_leaves_an_instance_inconclusive():
+    # operands are answered exactly, so at node limit 5 the search for 3:010
+    # running out matters nowhere: an instance is listed exactly when one of
+    # its join questions, searched as its key, runs out, with that reason
     with pytest.raises(Inconclusive):
         check_trichotomy(decode("3:010"), SearchBudget(node_limit=5))
     buf = io.StringIO()
     argv = ["verify-theorems", "--max-n", "3", "--node-limit", "5", "--json"]
     assert cli.main(argv, out=buf) == 3  # some instances are inconclusive
     report = json.loads(buf.getvalue())
-    out = [e["instance"] for e in report["evidence"]["inconclusive"]]
-    assert report["instances_checked"] == 80 and len(out) == 23
-    assert ["1:", "1:", "3:010"] not in out
-    assert not [tup for tup in out if len(tup) == 3 and tup[0] in ("1:", "2:0", "3:000")]
-    assert ["3:010", "1:"] in out and ["1:", "3:010"] in out
-    assert ["3:010", "3:010", "1:"] in out
+    expected = []
+    sizes = [range(1, 4)] * 3
+    for tup in itertools.chain(explorer._class_tuples(sizes[:2]), explorer._class_tuples(sizes)):
+        reps = [check_trichotomy(decode(e)) for e in tup]
+        for join in explorer._theorem_questions(reps):
+            key = explorer._component_key(njoin([decode(tup[i]) for i in join]))
+            got = explorer._join_task((key, False, 5))
+            if isinstance(got, str):
+                expected.append({"instance": list(tup), "reason": got})
+                break
+    assert report["instances_checked"] == 80 and len(expected) == 5
+    assert report["evidence"]["inconclusive"] == expected
+    assert ["1:", "1:", "3:010"] not in [e["instance"] for e in expected]
+
+
+@pytest.mark.parametrize("node_limit", [100, 300])
+def test_a_join_question_outcome_is_a_function_of_its_key(node_limit):
+    # each join is searched in its key's labelling, not in that of the first
+    # pair that asks it, so a pair planned alone gets the outcome it gets
+    # within the whole scope, under a node limit too
+    scope = {"n1": 5, "n2": 5, "max_total": None, "node_limit": node_limit}
+    jobs, outcomes = explorer._pair_questions(scope, True)
+    whole = outcomes([task(args) for task, args in jobs])
+    assert any(isinstance(row, str) for _, row in whole)
+    for pair, row in whole:
+        jobs, outcomes = explorer._questions(
+            [tuple(pair)], lambda reps: [(0, 1)], True, True, node_limit
+        )
+        assert outcomes([task(args) for task, args in jobs]) == [(pair, row)]
+
+
+def test_every_operand_class_is_answered_within_a_small_search():
+    # _trichotomy answers operand classes unbudgeted: every class with
+    # n <= MAX_CANONICAL_N finishes within 1000 nodes (648 at most); and a
+    # non-strong class's components sum to its own inv and tmr, so a join
+    # question's bound from its key's components is the bound from its operands
+    reports = {
+        enc: check_trichotomy(decode(enc), SearchBudget(node_limit=1000))
+        for n in range(1, explorer.MAX_CANONICAL_N + 1)
+        for enc in explorer._class_encodings(n)
+    }
+    not_strong = 0
+    for enc, rep in reports.items():
+        key = explorer._component_key(decode(enc))
+        if len(key) > 1:
+            not_strong += 1
+            parts = [reports[c] for c in key]
+            assert sum(r.inv for r in parts) == rep.inv and sum(r.tmr for r in parts) == rep.tmr
+    assert len(reports) == 7412 and not_strong == 1007
 
 
 # sha256 of the --json reports without "elapsed" of the 5x4 pair scans and of
