@@ -82,7 +82,11 @@ def _cmd_tmr(args, out) -> int:
 def _cmd_check(args, out) -> int:
     D = decode(args.graph)
     with open(args.cert, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+            print(f"error: --cert {args.cert} is not JSON ({exc})", file=out)
+            return EXIT_USAGE
     cert = Certificate.from_json_dict(data)
     err = certificate_error(D, cert)
     if err is None:

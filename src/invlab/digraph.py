@@ -257,13 +257,7 @@ def _parse_count(token: str) -> int:
 
 
 def is_acyclic(D: OrientedGraph) -> bool:
-    """True iff D has no directed cycle.
-
-    Tournaments use the out-degree test (acyclic iff the out-degree multiset
-    is {0, 1, ..., n-1}); other graphs run source elimination.
-    """
-    if D.is_tournament:
-        return sorted(r.bit_count() for r in D.out) == list(range(D.n))
+    """True iff D has no directed cycle (see _topological_order_or_none)."""
     return _topological_order_or_none(D) is not None
 
 

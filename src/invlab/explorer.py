@@ -59,7 +59,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .decycling import (
     family_certificate,
@@ -755,15 +755,11 @@ def scan_inv_lower_bound(
 # Schur probe
 
 
-@dataclass(frozen=True)
-class SchurProbeRecord:
+class SchurProbeRecord(NamedTuple):
     """One block-elimination probe of a decycling matrix for a dijoin."""
 
-    indices: tuple[int, ...]
     a_rank: int
-    cross_zero: bool
     b_prime_decycles: bool
-    a_prime_decycles_induced: bool
     a_prime_decycles_c3: Optional[bool]  # populated when the principal is 3x3
     a_prime_class: Optional[int]  # canonical 3x3 key under simultaneous permutation
 
@@ -799,20 +795,19 @@ def _sym3_class_key(A: SymMatGF2) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _a_block_facts(D1: Tournament, A: SymMatGF2):
-    """The part of a probe that depends on D1 and the A-block alone.
+def _a_block_facts(A: SymMatGF2):
+    """The part of a probe that depends on the A-block alone.
 
-    Returns the indices S of a maximal full-rank principal A' of A, A',
-    whether A' decycles D1 induced on S, and for 3x3 A' whether it decycles
-    the directed triangle and its class key (else None twice).  A 3-vertex
-    D1 has only 64 A-blocks, so scans hit this cache almost always.
+    Returns the indices S of a maximal full-rank principal A' of A, A', and
+    for 3x3 A' whether it decycles the directed triangle and its class key
+    (else None twice).  A 3-vertex D1 has at most 64 A-blocks, so scans hit
+    this cache almost always.
     """
     S = full_rank_principal(A)
     A_prime = A.principal(S)
-    induced_ok = is_decycling_matrix(induced(D1, S), A_prime)
     if len(S) != 3:
-        return S, A_prime, induced_ok, None, None
-    return S, A_prime, induced_ok, is_decycling_matrix(_C3, A_prime), _sym3_class_key(A_prime)
+        return S, A_prime, None, None
+    return S, A_prime, is_decycling_matrix(_C3, A_prime), _sym3_class_key(A_prime)
 
 
 def schur_probe(D1: Tournament, D2: Tournament, M: SymMatGF2) -> SchurProbeRecord:
@@ -820,35 +815,28 @@ def schur_probe(D1: Tournament, D2: Tournament, M: SymMatGF2) -> SchurProbeRecor
 
     M must decycle dijoin(D1, D2) with rows ordered D1 vertices first.  The
     probe extracts the blocks A, C, B, picks a maximal full-rank principal
-    A' of A, forms B' = B + C'^T A'^{-1} C', and records whether B' still
-    decycles D2 and whether A' decycles the induced subtournament of D1 on
-    its indices (and, for 3x3 A', the directed triangle).
+    A' of A on the indices S, forms B' = B + C'^T A'^{-1} C', and records
+    rank(A), whether B' still decycles D2, and, for 3x3 A', whether A'
+    decycles the directed triangle and the class key of A'.
+
+    Whether A' decycles D1 induced on S is not recorded, because it always
+    does: A' flips exactly the arcs that M flips inside S, and M decycles
+    J = dijoin(D1, D2), so A' decycles J[S] = D1[S] (an induced subgraph of
+    an acyclic graph is acyclic).  A size mismatch between M and the dijoin
+    raises ValueError from apply_matrix.
     """
-    J = dijoin(D1, D2)
-    if M.n != J.n:
-        raise ValueError(f"matrix of size {M.n} against a dijoin on {J.n} vertices")
-    return _schur_probe(D1, D2, J, M)
+    return SchurProbeRecord(*_schur_probe(D1, D2, dijoin(D1, D2), M))
 
 
-def _schur_probe(
-    D1: Tournament, D2: Tournament, J: Tournament, M: SymMatGF2
-) -> SchurProbeRecord:
-    """schur_probe with J = dijoin(D1, D2) built by the caller and M of J's size."""
+def _schur_probe(D1: Tournament, D2: Tournament, J: Tournament, M: SymMatGF2) -> tuple:
+    """schur_probe's four facts as a plain tuple, with J = dijoin(D1, D2) built by the caller."""
     if not is_decycling_matrix(J, M):
         raise ValueError("M is not a decycling matrix for the dijoin")
     A, c_rows, B = _blocks(M, D1.n)
-    S, A_prime, induced_ok, c3, key = _a_block_facts(D1, A)
+    S, A_prime, c3, key = _a_block_facts(A)
     C_prime = MatGF2(len(S), B.n, [c_rows[i] for i in S])
     B_prime = schur_update(A_prime, C_prime, B)
-    return SchurProbeRecord(
-        indices=S,
-        a_rank=len(S),
-        cross_zero=not any(c_rows),
-        b_prime_decycles=is_decycling_matrix(D2, B_prime),
-        a_prime_decycles_induced=induced_ok,
-        a_prime_decycles_c3=c3,
-        a_prime_class=key,
-    )
+    return len(S), is_decycling_matrix(D2, B_prime), c3, key
 
 
 def _decycling_flips(T: Tournament, order: Sequence[int]) -> tuple[int, ...]:
@@ -898,10 +886,6 @@ def _schur_pair_task(args) -> tuple[list, list]:
     records.append(_schur_probe(D1, D2, J, check_trichotomy(J).tmr_certificate.payload))
     blocks = [_trichotomy(enc).tmr_certificate.payload for enc in (enc1, enc2)]
     records.append(_schur_probe(D1, D2, J, SymMatGF2.block_diag(*blocks)))
-    records = [
-        (rec.a_rank, rec.b_prime_decycles, rec.a_prime_decycles_c3, rec.a_prime_class)
-        for rec in records
-    ]
     return [enc1, enc2], records
 
 

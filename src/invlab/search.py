@@ -62,10 +62,10 @@ column permutation keeps weights as well as dot products, so the column
 rule above holds in the second pass unchanged.  Only a gap instance
 (inv = tmr + 1) reaches a successful second pass, so only there does a
 witness come from it; elsewhere it is the first width-k dot-product
-success.  solve_inv runs the loop without the rank pass, solve_tmr with it,
-and check_trichotomy reads inv, tmr and both certificates off one run with
-it.  The search runs in the calling process; scans parallelise across
-instances instead.
+success.  solve_inv runs the loop without the rank pass; check_trichotomy
+runs it with the rank pass and reads inv, tmr and both certificates off one
+run, and solve_tmr is its tmr half.  The search runs in the calling
+process; scans parallelise across instances instead.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ from .digraph import (
     Tournament,
     VertexFamily,
     _relabel,
-    encode,
 )
 
 
@@ -418,22 +417,6 @@ def _levels(
             raise AssertionError("search exceeded the arc-count bound")
 
 
-def _tmr_result(T: Tournament, k: int, family: VertexFamily) -> TmrResult:
-    # a width-k success settles that some minimum-rank decycling matrix has a
-    # nonzero diagonal entry (for k > 0), since a gram matrix of full column
-    # rank cannot have an all-zero diagonal; a width-k failure means every
-    # minimum-rank decycling matrix is zero-diagonal
-    cert = matrix_certificate(T, family_to_matrix(family))
-    if cert.value != k:
-        raise AssertionError("level invariant broken: found gram of wrong rank")
-    return TmrResult(k, cert, family.m == k and k > 0)
-
-
-def _require_tournament(T) -> None:
-    if not isinstance(T, OrientedGraph) or not T.is_tournament:
-        raise TypeError("tmr is defined for tournaments only")
-
-
 def solve_inv(D: OrientedGraph, budget: Optional[SearchBudget] = None) -> InvResult:
     """Exact inversion number with a witnessing family certificate."""
     _, family = _levels(D, budget or SearchBudget(), rank_pass=False)
@@ -443,19 +426,18 @@ def solve_inv(D: OrientedGraph, budget: Optional[SearchBudget] = None) -> InvRes
 def solve_tmr(T: Tournament, budget: Optional[SearchBudget] = None) -> TmrResult:
     """Exact tournament minimum rank with a minimum-rank matrix certificate.
 
-    The rank pass makes each level exhaustive over rank-k decycling matrices
-    (see the module docstring), so the first level that succeeds is tmr.
+    The tmr half of check_trichotomy: the rank pass makes each level
+    exhaustive over rank-k decycling matrices (see the module docstring), so
+    the first level that succeeds is tmr.
     """
-    _require_tournament(T)
-    k, family = _levels(T, budget or SearchBudget(), rank_pass=True)
-    return _tmr_result(T, k, family)
+    rep = check_trichotomy(T, budget)
+    return TmrResult(rep.tmr, rep.tmr_certificate, rep.min_rank_nonzero_diag)
 
 
 @dataclass(frozen=True)
 class TrichotomyReport:
     """All facts needed to audit inv/tmr agreement on one tournament."""
 
-    encoding: str
     inv: int
     tmr: int
     transitive: bool
@@ -481,7 +463,8 @@ class TrichotomyReport:
 
 def check_trichotomy(T: Tournament, budget: Optional[SearchBudget] = None) -> TrichotomyReport:
     """Compute inv and tmr and report every fact of the inv/tmr trichotomy."""
-    _require_tournament(T)
+    if not isinstance(T, OrientedGraph) or not T.is_tournament:
+        raise TypeError("tmr is defined for tournaments only")
     k, family = _levels(T, budget or SearchBudget(), rank_pass=True)
     # Level 0 flips nothing, so it succeeds exactly when T is transitive.
     # One run of the rank-pass loop answers both questions.  It tries width j
@@ -492,15 +475,20 @@ def check_trichotomy(T: Tournament, budget: Optional[SearchBudget] = None) -> Tr
     # is a minimum decycling family, and its gram matrix is a minimum-rank
     # decycling matrix.  The gram matrix flips exactly the arcs the family
     # inverts, so one flipped graph, and its order, serves both certificates.
-    tmr_res = _tmr_result(T, k, family)
+    # A width-k success settles that some minimum-rank decycling matrix has a
+    # nonzero diagonal entry (for k > 0), since a gram matrix of full column
+    # rank cannot have an all-zero diagonal; a width-k failure means every
+    # minimum-rank decycling matrix is zero-diagonal.
+    tmr_cert = matrix_certificate(T, family_to_matrix(family))
+    if tmr_cert.value != k:
+        raise AssertionError("level invariant broken: found gram of wrong rank")
     return TrichotomyReport(
-        encoding=encode(T),
         inv=family.m,
-        tmr=tmr_res.value,
+        tmr=k,
         transitive=k == 0,
-        min_rank_nonzero_diag=tmr_res.min_rank_nonzero_diag,
-        inv_certificate=Certificate("family", family, family.m, tmr_res.certificate.order),
-        tmr_certificate=tmr_res.certificate,
+        min_rank_nonzero_diag=family.m == k and k > 0,
+        inv_certificate=Certificate("family", family, family.m, tmr_cert.order),
+        tmr_certificate=tmr_cert,
     )
 
 

@@ -83,6 +83,18 @@ def test_check_malformed_certificate_names_the_field(tmp_path, cert, field):
     assert code == 2 and field in text
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"", b'{"kind": "family", "fam', b"\xff\xfe"],
+    ids=["empty", "truncated", "not-utf8"],
+)
+def test_check_certificate_that_is_not_json_names_the_flag(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, text = run_cli("check", "3:101", "--cert", str(path))
+    assert code == 2 and text.startswith(f"error: --cert {path} is not JSON (")
+
+
 def test_check_unreadable_certificate_is_a_usage_error(tmp_path):
     code, text = run_cli("check", "3:101", "--cert", str(tmp_path))
     assert code == 2 and text.startswith("error:") and str(tmp_path) in text

@@ -501,9 +501,8 @@ def test_schur_probe_block_diagonal():
     A = family_to_matrix(VertexFamily.from_sets(3, [[0, 1]]))
     M = SymMatGF2.block_diag(A, A)
     rec = schur_probe(C3, C3, M)
-    assert rec.cross_zero
+    assert rec.a_rank == 1
     assert rec.b_prime_decycles
-    assert rec.a_prime_decycles_induced
 
 
 def test_schur_probe_full_rank_3x3():

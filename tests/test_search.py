@@ -481,7 +481,7 @@ def test_check_trichotomy_n8_classes_regression():
     rows, gaps = [], []
     for T in enumerate_tournaments(8):
         r = check_trichotomy(T)
-        rows.append(f"{r.encoding} {r.inv} {r.tmr} {int(r.min_rank_nonzero_diag)}")
+        rows.append(f"{encode(T)} {r.inv} {r.tmr} {int(r.min_rank_nonzero_diag)}")
         if r.inv == r.tmr + 1:
             gaps.append((T, r))
     rows.sort()
