@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .decycling import Certificate, _json_int, _json_rows, certificate_error
-from .digraph import ParseError, VertexFamily, decode, dijoin, encode, njoin
+from .digraph import ParseError, VertexFamily, decode, encode, njoin
 from .explorer import MAX_CANONICAL_N, canonical_form, enumerate_tournaments, run_scan
 from .search import Inconclusive, SearchBudget, solve_inv, solve_tmr
 from .constructions import extend_to_tournament
@@ -96,11 +96,6 @@ def _cmd_check(args, out) -> int:
     return EXIT_VIOLATION
 
 
-def _cmd_dijoin(args, out) -> int:
-    print(encode(dijoin(decode(args.g1), decode(args.g2))), file=out)
-    return EXIT_OK
-
-
 def _cmd_njoin(args, out) -> int:
     print(encode(njoin([decode(g) for g in args.graphs])), file=out)
     return EXIT_OK
@@ -133,7 +128,33 @@ def _cmd_canonical(args, out) -> int:
     return EXIT_OK
 
 
-def _report_exit(report, args, out) -> int:
+# the flags each scan reads, each with the parameter it sets; a flag left
+# unset is not passed, so the scan's own default applies
+_SCAN_FLAGS = {
+    "dijoin-theorems": {"max_n": "max_each", "node_limit": "node_limit"},
+    "tmr-additivity": {"n1": "n1", "n2": "n2", "node_limit": "node_limit"},
+    "inv-lower-bound": {"n1": "n1", "n2": "n2", "node_limit": "node_limit"},
+    "schur-3x3": {"n2": "n2_max", "budget": "samples", "seed": "seed"},
+}
+_SCAN_OPTIONS = {flag for reads in _SCAN_FLAGS.values() for flag in reads}
+
+
+def _option(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
+
+
+def _cmd_scan(args, out) -> int:
+    reads = _SCAN_FLAGS[args.scan]
+    params = {}
+    for flag, value in vars(args).items():
+        if flag not in _SCAN_OPTIONS or value is None:
+            continue
+        if flag not in reads:
+            print(f"error: scan {args.scan} takes no {_option(flag)};"
+                  f" it reads {', '.join(map(_option, reads))}", file=out)
+            return EXIT_USAGE
+        params[reads[flag]] = value
+    report = run_scan(args.scan, workers=args.workers, **params)
     if args.json:
         print(json.dumps(report.to_json_dict()), file=out)
     else:
@@ -143,48 +164,6 @@ def _report_exit(report, args, out) -> int:
     if report.inconclusive:
         return EXIT_INCONCLUSIVE
     return EXIT_OK
-
-
-def _cmd_verify_theorems(args, out) -> int:
-    report = run_scan(
-        "dijoin-theorems", workers=args.workers, max_each=args.max_n, node_limit=args.node_limit
-    )
-    return _report_exit(report, args, out)
-
-
-def _cmd_scan(args, out) -> int:
-    params = {}
-    if args.conjecture == "schur-3x3":
-        if args.node_limit is not None:
-            print("error: scan schur-3x3 runs no search budget; --node-limit does not apply"
-                  " (--budget sets its sample count)", file=out)
-            return EXIT_USAGE
-        if args.n1 is not None:
-            print("error: scan schur-3x3 takes every 3-vertex D1; --n1 does not apply"
-                  " (--n2 sets the D2 sizes)", file=out)
-            return EXIT_USAGE
-        params["n2_max"] = args.n2 if args.n2 is not None else 3
-        if args.budget is not None:
-            params["samples"] = args.budget
-        params["seed"] = args.seed if args.seed is not None else 0
-    else:
-        if args.budget is not None:
-            print("error: --budget is the sample count of scan schur-3x3;"
-                  " use --node-limit to cap the search nodes of this scan", file=out)
-            return EXIT_USAGE
-        if args.seed is not None:
-            print(f"error: scan {args.conjecture} samples nothing; --seed applies to"
-                  " scan schur-3x3 with --budget", file=out)
-            return EXIT_USAGE
-        params["n1"] = args.n1 if args.n1 is not None else 3
-        params["n2"] = args.n2 if args.n2 is not None else 3
-        params["node_limit"] = args.node_limit
-    try:
-        report = run_scan(args.conjecture, workers=args.workers, **params)
-    except ValueError as exc:
-        print(f"error: {exc}", file=out)
-        return EXIT_USAGE
-    return _report_exit(report, args, out)
 
 
 def _at_least(low: int, high: Optional[int] = None):
@@ -237,9 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("dijoin", help="dijoin of two graphs")
-    p.add_argument("g1")
-    p.add_argument("g2")
-    p.set_defaults(fn=_cmd_dijoin)
+    p.add_argument("graphs", nargs=2)
+    p.set_defaults(fn=_cmd_njoin)
 
     p = sub.add_parser("njoin", help="iterated dijoin")
     p.add_argument("graphs", nargs="+")
@@ -260,18 +238,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_canonical)
 
     p = sub.add_parser("verify-theorems", parents=[search], help="check the proven identities")
-    p.add_argument("--max-n", type=size, default=3, help="max operand size")
-    p.set_defaults(fn=_cmd_verify_theorems)
+    p.add_argument("--max-n", type=size, default=None, help="max operand size")
+    p.set_defaults(fn=_cmd_scan, scan="dijoin-theorems")
 
     p = sub.add_parser("scan", parents=[search], help="conjecture scans")
-    p.add_argument(
-        "conjecture",
-        choices=["tmr-additivity", "inv-lower-bound", "schur-3x3"],
-    )
+    p.add_argument("scan", choices=["tmr-additivity", "inv-lower-bound", "schur-3x3"])
     p.add_argument("--n1", type=size, default=None, help="max size of the first operand")
     p.add_argument("--n2", type=size, default=None, help="max size of the second operand")
     p.add_argument("--budget", type=count, default=None, help="schur-3x3 sample count")
-    p.add_argument("--seed", type=int, default=None, help="schur-3x3 sample seed (default 0)")
+    p.add_argument("--seed", type=int, default=None, help="schur-3x3 sample seed")
     p.set_defaults(fn=_cmd_scan)
 
     return parser

@@ -5,6 +5,7 @@ from __future__ import annotations
 from .decycling import (
     Certificate,
     certificate_error,
+    family_certificate,
     is_decycling_family,
     is_decycling_matrix,
     matrix_to_family,
@@ -14,7 +15,6 @@ from .digraph import (
     Tournament,
     VertexFamily,
     invert,
-    topological_order,
     transitive_tournament,
 )
 from .gf2 import SymMatGF2, rank
@@ -83,13 +83,11 @@ def block_diag_certificate(
 def extend_to_tournament(D: OrientedGraph, family: VertexFamily) -> Tournament:
     """Tournament on V(D) containing D that the family still decycles.
 
-    Invert the family in D, complete the acyclic result to the transitive
-    tournament along its lexicographically least topological order, and
-    invert the family back.  The output contains D, so whenever the family
-    is optimal for D the extension has the same inversion number.
+    Complete the inverted graph to the transitive tournament along the
+    family certificate's order (its lexicographically least topological
+    order), and invert the family back.  family_certificate raises when the
+    family does not decycle D.  The output contains D, so whenever the
+    family is optimal for D the extension has the same inversion number.
     """
-    if not is_decycling_family(D, family):
-        raise ValueError("family does not decycle the graph")
-    acyclic = invert(D, family)
-    completed = transitive_tournament(topological_order(acyclic))
-    return invert(completed, family)
+    order = family_certificate(D, family).order
+    return invert(transitive_tournament(order), family)

@@ -59,27 +59,24 @@ class Certificate:
         kind = data.get("kind")
         if kind not in ("family", "matrix"):
             raise ValueError(f"unknown certificate kind {kind!r}")
-        for name in (kind, "value", "order"):
-            if name not in data:
-                raise ValueError(f"{kind} certificate is missing the field {name!r}")
 
         def field(name, parse):
+            if name not in data:
+                raise ValueError(f"{kind} certificate is missing the field {name!r}")
             try:
                 return parse(data[name])
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{kind} certificate field {name!r} is malformed: {exc}") from None
 
+        if kind == "family":
+            sets = field("family", lambda x: _json_rows(x, _json_int))
+        else:
+            payload = field("matrix", lambda x: SymMatGF2.from_rows(_json_rows(x, _json_bit)))
         value = field("value", _json_int)
         order = field("order", lambda o: tuple(_json_int(v) for v in _json_list(o)))
         if kind == "family":
-            sets = field("family", lambda x: _json_rows(x, _json_int))
-            if "n" in data:
-                n = field("n", _json_int)
-            else:
-                n = max((v for s in sets for v in s), default=-1) + 1
-            payload: Union[VertexFamily, SymMatGF2] = VertexFamily.from_sets(n, sets)
-        else:
-            payload = field("matrix", lambda x: SymMatGF2.from_rows(_json_rows(x, _json_bit)))
+            # read last, so a certificate malformed elsewhere names that field
+            payload = field("n", lambda x: VertexFamily.from_sets(_json_int(x), sets))
         return cls(kind, payload, value, order)
 
 
@@ -107,8 +104,6 @@ def _json_rows(x, item) -> list[list[int]]:
 
 def is_decycling_family(D: OrientedGraph, family: VertexFamily) -> bool:
     """True iff inverting the family leaves D acyclic."""
-    if family.n != D.n:
-        raise ValueError(f"family on {family.n} vertices, graph on {D.n}")
     return is_acyclic(invert(D, family))
 
 
@@ -167,33 +162,33 @@ def matrix_certificate(T: Tournament, M: SymMatGF2) -> Certificate:
     return Certificate("matrix", M, rank(M), order)
 
 
+# each certificate kind: its issuer, its payload type, and what its value counts
+_ISSUERS = {
+    "family": (family_certificate, VertexFamily, "number of sets"),
+    "matrix": (matrix_certificate, SymMatGF2, "matrix rank"),
+}
+
+
 def certificate_error(D: OrientedGraph, cert: Certificate) -> str | None:
-    """None when every claimed fact replays; otherwise the first mismatch."""
-    if cert.kind == "family":
-        family = cert.payload
-        if not isinstance(family, VertexFamily):
-            return "family certificate does not carry a vertex family"
-        if family.n != D.n:
-            return f"family on {family.n} vertices, graph on {D.n}"
-        if family.m != cert.value:
-            return f"claimed value {cert.value} but family has {family.m} sets"
-        after = invert(D, family)
-    elif cert.kind == "matrix":
-        M = cert.payload
-        if not isinstance(M, SymMatGF2):
-            return "matrix certificate does not carry a symmetric matrix"
-        if not D.is_tournament:
-            return "matrix certificate against a non-tournament"
-        if M.n != D.n:
-            return f"matrix of size {M.n}, tournament on {D.n}"
-        if rank(M) != cert.value:
-            return f"claimed value {cert.value} but matrix rank is {rank(M)}"
-        after = apply_matrix(D, M)
-    else:
+    """None when the certificate replays on D; otherwise the first mismatch.
+
+    The payload is issued again by family_certificate or matrix_certificate,
+    whichever issues its kind, and the issued value and order are compared
+    with the claimed ones, so issuing and checking share one replay.  The
+    issuer's refusal (wrong size, a matrix on a non-tournament, a payload
+    that does not decycle) is returned as the mismatch.
+    """
+    if cert.kind not in _ISSUERS:
         return f"unknown certificate kind {cert.kind!r}"
-    achieved = _topological_order_or_none(after)
-    if achieved is None:
-        return "payload does not decycle the graph"
-    if achieved != cert.order:
-        return f"replayed order {achieved} differs from recorded {cert.order}"
+    issue, payload_type, measure = _ISSUERS[cert.kind]
+    if not isinstance(cert.payload, payload_type):
+        return f"{cert.kind} certificate does not carry a {payload_type.__name__}"
+    try:
+        issued = issue(D, cert.payload)
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    if issued.value != cert.value:
+        return f"claimed value {cert.value} but the {measure} is {issued.value}"
+    if issued.order != cert.order:
+        return f"replayed order {issued.order} differs from recorded {cert.order}"
     return None

@@ -644,8 +644,8 @@ def _pair_questions(scope: dict, rank_pass: bool):
 
 
 def scan_tmr_additivity(
-    n1: int,
-    n2: int,
+    n1: int = 3,
+    n2: int = 3,
     max_total: Optional[int] = None,
     node_limit: Optional[int] = None,
     workers: int = 1,
@@ -703,8 +703,8 @@ def scan_tmr_additivity(
 
 
 def scan_inv_lower_bound(
-    n1: int,
-    n2: int,
+    n1: int = 3,
+    n2: int = 3,
     max_total: Optional[int] = None,
     node_limit: Optional[int] = None,
     workers: int = 1,

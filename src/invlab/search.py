@@ -94,7 +94,7 @@ class SearchBudget:
     """Limits for the exact search.
 
     Exceeding node_limit aborts with an explicit Inconclusive carrying the
-    bounds proved so far, never a wrong value.
+    lower bound proved so far, never a wrong value.
     """
 
     node_limit: Optional[int] = None
@@ -105,18 +105,16 @@ class SearchBudget:
 
 
 class Inconclusive(Exception):
-    """Search aborted by budget; carries the bounds that were established."""
+    """Search aborted by budget; carries the lower bound that was established."""
 
-    def __init__(self, lower: int, upper: Optional[int], reason: str):
+    def __init__(self, lower: int, reason: str):
         self.lower = lower
-        self.upper = upper
         self.reason = reason
-        bound = f">= {lower}" if upper is None else f"in [{lower}, {upper}]"
-        super().__init__(f"inconclusive ({reason}); value {bound}")
+        super().__init__(f"inconclusive ({reason}); value >= {lower}")
 
     def __reduce__(self):
         # rebuild through __init__, and keep what was set since (such as notes)
-        return type(self), (self.lower, self.upper, self.reason), self.__dict__
+        return type(self), (self.lower, self.reason), self.__dict__
 
 
 class InvResult(NamedTuple):
@@ -409,9 +407,7 @@ def _levels(
                 if found is not None:
                     return k, _family(slots, k + 1, found)
         except _NodeLimit:
-            raise Inconclusive(
-                k, None, f"node limit {budget.node_limit} reached at level {k}"
-            ) from None
+            raise Inconclusive(k, f"node limit {budget.node_limit} reached at level {k}") from None
         k += 1
         if k > hard_cap:
             raise AssertionError("search exceeded the arc-count bound")

@@ -83,6 +83,20 @@ def test_check_malformed_certificate_names_the_field(tmp_path, cert, field):
     assert code == 2 and field in text
 
 
+@pytest.mark.parametrize("graph, cert", [
+    ("4:101111", {"kind": "family", "family": [[0, 1]], "value": 1, "order": [1, 2, 0, 3]}),
+    ("4:111111", {"kind": "family", "family": [], "value": 0, "order": [0, 1, 2, 3]}),
+])
+def test_family_certificate_states_its_vertex_count(tmp_path, graph, cert):
+    # the sets alone do not give n: a vertex in no set, or no set at all
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, text = run_cli("check", graph, "--cert", str(path))
+    assert code == 2 and "'n'" in text, text
+    path.write_text(json.dumps({**cert, "n": 4}))
+    assert run_cli("check", graph, "--cert", str(path)) == (0, "certificate ok\n")
+
+
 @pytest.mark.parametrize(
     "content",
     [b"", b'{"kind": "family", "fam', b"\xff\xfe"],

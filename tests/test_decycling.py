@@ -132,6 +132,41 @@ def test_matrix_certificate_replay():
     assert "rank" in certificate_error(C3, bad_value)
 
 
+P4 = decode("4;0>1,1>2,2>0")  # C3 and an isolated vertex: not a tournament
+FAM3 = VertexFamily.from_sets(3, [[0, 1]])
+MAT3 = SymMatGF2.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 0]])
+MAT4 = SymMatGF2.from_rows([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+
+
+@pytest.mark.parametrize("D, cert, valid", [
+    (C3, Certificate("family", FAM3, 1, (1, 2, 0)), True),
+    (C3, Certificate("matrix", MAT3, 1, (1, 2, 0)), True),
+    (P4, Certificate("family", VertexFamily.from_sets(4, [[0, 1]]), 1, (1, 2, 0, 3)), True),
+    (C3, Certificate("family", MAT3, 1, (1, 2, 0)), False),
+    (C3, Certificate("matrix", FAM3, 1, (1, 2, 0)), False),
+    (C3, Certificate("sets", FAM3, 1, (1, 2, 0)), False),
+    (C3, Certificate("family", VertexFamily.from_sets(4, [[0, 1]]), 1, (1, 2, 0)), False),
+    (C3, Certificate("matrix", MAT4, 1, (1, 2, 0)), False),
+    (P4, Certificate("matrix", MAT4, 1, (1, 2, 0, 3)), False),
+    (C3, Certificate("family", VertexFamily.from_sets(3, []), 0, (0, 1, 2)), False),
+    (C3, Certificate("matrix", SymMatGF2.from_rows([[0] * 3] * 3), 0, (0, 1, 2)), False),
+    (C3, Certificate("family", FAM3, 2, (1, 2, 0)), False),
+    (C3, Certificate("matrix", MAT3, 2, (1, 2, 0)), False),
+    (C3, Certificate("family", FAM3, 1, (0, 1, 2)), False),
+    (C3, Certificate("matrix", MAT3, 1, (0, 1, 2)), False),
+], ids=[
+    "family", "matrix", "family-on-oriented", "family-carrying-matrix", "matrix-carrying-family",
+    "unknown-kind", "family-wrong-size", "matrix-wrong-size", "matrix-on-oriented",
+    "family-not-decycling", "matrix-not-decycling", "family-wrong-value", "matrix-wrong-value",
+    "family-wrong-order", "matrix-wrong-order",
+])
+def test_certificate_error_verdicts(D, cert, valid):
+    # every refusal is a message, never an exception
+    err = certificate_error(D, cert)
+    assert (err is None) == valid, err
+    assert err is None or isinstance(err, str)
+
+
 def test_certificate_json_round_trip():
     fam_cert = family_certificate(C3, VertexFamily.from_sets(3, [[0, 1]]))
     blob = json.dumps(fam_cert.to_json_dict())

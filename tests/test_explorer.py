@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from invlab import (
+    Certificate,
     Inconclusive,
     SearchBudget,
     SymMatGF2,
@@ -33,6 +34,7 @@ from invlab import (
     scan_tmr_additivity,
     schur_probe,
     solve_inv,
+    verify_certificate,
     verify_dijoin_theorems,
     VertexFamily,
 )
@@ -244,6 +246,44 @@ def test_scan_tmr_additivity_small():
     assert report.evidence["asserted_pairs"] > 0
     # evidence pairs at these sizes all come out additive
     assert report.evidence["evidence_equal"] == report.evidence["evidence_pairs"]
+
+
+def _under_reporting_joins(monkeypatch, by: int):
+    """Make every join question answer `by` below its value, so the scans' discovery branches run."""
+    real = explorer._join_task
+    monkeypatch.setattr(explorer, "_join_task", lambda args: real(args) - by)
+
+
+def test_tmr_additivity_reports_what_an_under_additive_join_breaks(monkeypatch):
+    # pairs with tmr(D1) in {1, 2} become asserted violations; the others
+    # become counterexamples that carry the dijoin's real certificate
+    _under_reporting_joins(monkeypatch, 1)
+    report = scan_tmr_additivity(3, 3, workers=1)
+    assert len(report.violations) == 4
+    assert all(v["name"] == "tmr-additivity-asserted" for v in report.violations)
+    counterexamples = report.evidence["counterexamples"]
+    assert len(counterexamples) == 12
+    assert report.evidence["evidence_equal"] == 0
+    for entry in counterexamples:
+        J = dijoin(decode(entry["d1"]), decode(entry["d2"]))
+        cert = Certificate.from_json_dict(entry["dijoin_certificate"])
+        assert verify_certificate(J, cert)
+        assert entry["tmr_dijoin"] == cert.value - 1
+
+
+def test_inv_lower_bound_reports_each_join_below_the_bound(monkeypatch):
+    # the bound is theorem-backed only where inv(D1) = 2; elsewhere a join
+    # below it is a conjecture counterexample
+    _under_reporting_joins(monkeypatch, 2)
+    report = scan_inv_lower_bound(5, 2, workers=1)
+    failures = report.evidence["bound_counterexamples"]
+    assert len(report.violations) == 6 and len(failures) == 34
+    for entry in report.violations + failures:
+        d1, d2 = entry["instances"]
+        lo = solve_inv(decode(d1)).value + solve_inv(decode(d2)).value - 1
+        assert entry["expected"] == f">= {lo}"
+        assert entry["observed"] == solve_inv(dijoin(decode(d1), decode(d2))).value - 2 < lo
+        assert (entry in report.violations) == (solve_inv(decode(d1)).value == 2)
 
 
 def _record_searches(monkeypatch):
@@ -592,7 +632,7 @@ def _fold(report, results):
 
 @pytest.mark.parametrize("failure, error, text", [
     (lambda: ValueError("job failed in a worker"), ValueError, "job failed in a worker"),
-    (lambda: explorer.Inconclusive(1, None, "x"), explorer.Inconclusive, "value >= 1"),
+    (lambda: explorer.Inconclusive(1, "x"), explorer.Inconclusive, "value >= 1"),
     (lambda: os._exit(3), RuntimeError, "exited without sending its results"),
 ])
 def test_a_worker_failure_raises_from_scan(tmp_path, failure, error, text):
@@ -613,7 +653,7 @@ def test_a_worker_failure_raises_from_scan(tmp_path, failure, error, text):
         explorer._scan({}, lambda: ([(task, i) for i in range(20)], list), 2, _fold)
     _assert_no_children()
     if error is explorer.Inconclusive:
-        assert (info.value.lower, info.value.upper, info.value.reason) == (1, None, "x")
+        assert (info.value.lower, info.value.reason) == (1, "x")
         assert "raised in scan worker" in info.value.__notes__[0]
 
 
