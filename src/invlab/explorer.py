@@ -41,6 +41,10 @@ key's own components, whatever instance asked it first.  Its search stops
 at the components' bound: the union of their minimum families decycles
 the join (no cross arc lies on a cycle), so the level of the sum of their
 inv, or of their tmr, is replayed from that union instead of searched.  A
+question's family comes back with its value, and each asker keeps the
+vertex order that carries it onto the asker's labelling (the refinement
+that reaches each component's canonical form records one), so a fold
+that reads the family carries it there and no fold searches again.  A
 node limit applies to each join question's search alone, and a question
 that runs out leaves every instance that asks it inconclusive.  Reversing
 every arc keeps inv and tmr and maps D1 -> D2 to D2^c -> D1^c, so the pair
@@ -70,9 +74,9 @@ from .decycling import (
 from .digraph import (
     Tournament,
     VertexFamily,
+    _relabel,
     decode,
     dijoin,
-    induced,
     njoin,
     pair_count,
     reverse,
@@ -98,27 +102,31 @@ _C3 = decode("3:101")
 # canonical forms and enumeration
 
 
-def _canonical_int(out: Sequence[int]) -> int:
-    """Least packed string over all relabellings of the tournament with these out rows.
+def _canonical_int(out: Sequence[int]) -> tuple[int, list[int]]:
+    """Least packed string over all relabellings of the tournament with these
+    out rows, and a vertex order that `_relabel` takes onto it.
 
     The packed string holds one bit per pair (0,1), (0,2), ..., (n-2,n-1),
     most significant first, 1 meaning the lower label beats the higher.  A
     state is an ordered partition of the unplaced vertices into cells; see
     the module docstring for why keeping the least-row states is exact.
+    Each state keeps the vertices placed on a way to it as nested (placed, v)
+    pairs, so no state copies its path.
     """
     n = len(out)
     value = 0
-    states = {((1 << n) - 1,)}
+    states = {((1 << n) - 1,): ()}
     for width in range(n - 1, 0, -1):
         best = 1 << width
-        survivors = set()
-        for cells in states:
+        survivors = {}
+        for cells, placed in states.items():
             first, rest = cells[0], cells[1:]
             pick = first
             while pick:
                 bit = pick & -pick
                 pick ^= bit
-                beaten = out[bit.bit_length() - 1]
+                v = bit.bit_length() - 1
+                beaten = out[v]
                 row = 0
                 refined = []
                 for cell in (first ^ bit,) + rest:
@@ -131,12 +139,17 @@ def _canonical_int(out: Sequence[int]) -> int:
                         refined.append(won)
                 if row < best:
                     best = row
-                    survivors = {tuple(refined)}
+                    survivors = {tuple(refined): (placed, v)}
                 elif row == best:
-                    survivors.add(tuple(refined))
+                    survivors[tuple(refined)] = placed, v
         value = (value << width) | best
         states = survivors
-    return value
+    (last,), placed = next(iter(states.items()))
+    order = [last.bit_length() - 1] if n else []
+    while placed:
+        placed, v = placed
+        order.append(v)
+    return value, order[::-1]
 
 
 def _packed_text(n: int, value: int) -> str:
@@ -151,7 +164,7 @@ def canonical_form(T: Tournament) -> str:
         raise TypeError("canonical_form is defined for tournaments")
     if T.n > MAX_CANONICAL_N:
         raise ValueError(f"canonical_form supports n <= {MAX_CANONICAL_N}")
-    return _packed_text(T.n, _canonical_int(T.out))
+    return _packed_text(T.n, _canonical_int(T.out)[0])
 
 
 @lru_cache(maxsize=None)
@@ -161,8 +174,6 @@ def _iso_class_ints(n: int) -> tuple[int, ...]:
     Every class on n vertices is a class on n-1 vertices plus a vertex n-1
     with one of the 2^(n-1) out-patterns.
     """
-    if n > MAX_CANONICAL_N:
-        raise ValueError(f"isomorphism-reduced enumeration supports n <= {MAX_CANONICAL_N}")
     if n <= 1:
         return (0,)
     top = 1 << (n - 1)
@@ -172,18 +183,18 @@ def _iso_class_ints(n: int) -> tuple[int, ...]:
         for pattern in range(top):
             rows = [r if (pattern >> j) & 1 else r | top for j, r in enumerate(base)]
             rows.append(pattern)
-            seen.add(_canonical_int(rows))
+            seen.add(_canonical_int(rows)[0])
     return tuple(sorted(seen))
 
 
 def enumerate_tournaments(n: int, up_to_iso: bool = True) -> Iterator[Tournament]:
-    """All tournaments on n vertices, one per isomorphism class by default."""
+    """All tournaments on n vertices, one per isomorphism class by default (n <= 8)."""
+    if n > MAX_CANONICAL_N:
+        raise ValueError(f"enumeration supports n <= {MAX_CANONICAL_N}")
     if up_to_iso:
         for canon in _iso_class_ints(n):
             yield decode(_packed_text(n, canon))
         return
-    if n > MAX_CANONICAL_N:
-        raise ValueError(f"labeled enumeration supports n <= {MAX_CANONICAL_N}")
     for orient in range(1 << pair_count(n)):
         yield Tournament(n, orient)
 
@@ -258,6 +269,13 @@ def _class_tuples(sizes_each: Sequence[range], max_total: Optional[int] = None):
     for sizes in itertools.product(*sizes_each):
         if max_total is None or sum(sizes) <= max_total:
             yield from itertools.product(*map(_class_encodings, sizes))
+
+
+def _refuse_past_canonical(**sizes: Optional[int]) -> None:
+    """Refuse a scope whose classes would be enumerated past MAX_CANONICAL_N vertices."""
+    for name, n in sizes.items():
+        if n is not None and n > MAX_CANONICAL_N:
+            raise ValueError(f"{name} = {n} exceeds MAX_CANONICAL_N = {MAX_CANONICAL_N}")
 
 
 def _check(name: str, instances: list, expected, observed) -> dict:
@@ -431,25 +449,32 @@ def _components(T: Tournament) -> list[list[int]]:
     return comps
 
 
-def _component_key(T: Tournament) -> tuple[str, ...]:
-    """The canonical forms of T's strong components, winners first, of any size.
+def _component_key(T: Tournament) -> tuple[tuple[str, ...], list[int]]:
+    """The canonical forms of T's strong components, winners first, of any
+    size, and the order of T's vertices that `_relabel` takes onto njoin of them.
 
     A tournament is the n-join of its strong components, so two tournaments
     are isomorphic exactly when their keys are equal, and the key of
     njoin([D1, ..., Dk]) is the keys of D1, ..., Dk in turn.
     """
-    return tuple(_packed_text(len(c), _canonical_int(induced(T, c).out)) for c in _components(T))
+    key, order = [], []
+    for c in _components(T):
+        value, canon = _canonical_int(_relabel(T, c).out)
+        key.append(_packed_text(len(c), value))
+        order += [c[u] for u in canon]
+    return tuple(key), order
 
 
 def _operand(enc: str):
-    """(check_trichotomy report, key, converse key) of a class."""
+    """(check_trichotomy report, (key, order), (converse key, order)) of a class."""
     T = decode(enc)
     return _trichotomy(enc), _component_key(T), _component_key(reverse(T))
 
 
-def _join_task(args) -> int | str:
+def _join_task(args) -> tuple[int, VertexFamily] | str:
     """The n-join of a key's components searched in that labelling, so its
-    outcome is the key's alone: tmr with rank_pass else inv, or why it ran out.
+    outcome is the key's alone: (tmr with rank_pass else inv, the family
+    that witnesses it on the n-join), or why it ran out.
 
     The union of the components' minimum families, each shifted by the
     vertices before it, decycles the join, since every cross arc runs
@@ -479,7 +504,21 @@ def _join_task(args) -> int | str:
                 raise AssertionError("the components' union misses their tmr bound")
         else:
             family_certificate(J, union)
-    return k
+    return k, family
+
+
+def _carried(family: VertexFamily, order: Sequence[int]) -> VertexFamily:
+    """A family on njoin of a key, moved through a question's order onto the asker's join."""
+    return VertexFamily.from_sets(len(order), ([order[v] for v in s] for s in family.sets))
+
+
+def _joined(sides, shifts) -> tuple[tuple[str, ...], list[int]]:
+    """A join's key and order onto njoin of it, from its operands' (key, order) and shifts."""
+    key, order = (), []
+    for (k, o), shift in zip(sides, shifts):
+        key += k
+        order += [v + shift for v in o]
+    return key, order
 
 
 def _questions(tuples, ask, rank_pass: bool, converse: bool, node_limit: Optional[int]):
@@ -490,13 +529,16 @@ def _questions(tuples, ask, rank_pass: bool, converse: bool, node_limit: Optiona
     positions in join order.  A question is keyed by its operands' keys in
     that order or, with converse, by the lesser of that and the key of the
     reversed join; each distinct key is one _join_task job, the only
-    searches the node limit caps.  An instance's row is (its operands'
-    reports, its questions' values), or the reason of its first question
-    that ran out.
+    searches the node limit caps.  A question's family comes back with its
+    value and keeps the order of its join onto njoin of the key (reversed
+    for a converse key: a family decycles D exactly when it decycles
+    reverse(D)), which carries it onto the asker's labelling (_carried).  An
+    instance's row is (its operands' reports, its questions' (value, family,
+    order) answers), or the reason of its first question that ran out.
     """
     operands: dict = {}  # class -> _operand
     keys: dict = {}  # key -> its job's index
-    instances = []  # (classes, reports, the job of each question)
+    instances = []  # (classes, reports, (job, order) of each question)
     for encs in tuples:
         for enc in encs:
             if enc not in operands:
@@ -505,18 +547,25 @@ def _questions(tuples, ask, rank_pass: bool, converse: bool, node_limit: Optiona
         reps = tuple(op[0] for op in ops)
         asked = []
         for join in ask(reps):
-            key = sum((ops[i][1] for i in join), ())
+            # an order lists every vertex of its operand, so its length is the shift
+            shifts = list(itertools.accumulate((len(ops[i][1][1]) for i in join), initial=0))
+            key, order = _joined([ops[i][1] for i in join], shifts)
             if converse:
-                key = min(key, sum((ops[i][2] for i in reversed(join)), ()))
-            asked.append(keys.setdefault(key, len(keys)))
+                back = _joined([ops[i][2] for i in reversed(join)], shifts[-2::-1])
+                if back[0] < key:
+                    key, order = back
+            asked.append((keys.setdefault(key, len(keys)), order))
         instances.append((list(encs), reps, asked))
     jobs = [(_join_task, (key, rank_pass, node_limit)) for key in keys]
 
     def outcomes(values: list) -> list:
         done = []
         for encs, reps, asked in instances:
-            got = [values[ix] for ix in asked]
-            done.append((encs, next((v for v in got if isinstance(v, str)), (reps, got))))
+            got = [values[ix] for ix, _ in asked]
+            ran_out = next((v for v in got if isinstance(v, str)), None)
+            if ran_out is None:
+                got = [(k, family, order) for (k, family), (_, order) in zip(got, asked)]
+            done.append((encs, ran_out or (reps, got)))
         return done
 
     return jobs, outcomes
@@ -601,6 +650,10 @@ def verify_dijoin_theorems(
             f" for hours; use --max-n {_THEOREMS_EXHAUSTIVE_N_MAX // 3} or less, or cap"
             f" each join question's search with --node-limit"
         )
+    if max_each is None:
+        _refuse_past_canonical(max_total=max_total, triple_total=triple_total)
+    else:
+        _refuse_past_canonical(max_each=max_each)
     scope = {
         "scan": "dijoin-theorems",
         "max_total": max_total,
@@ -619,8 +672,8 @@ def verify_dijoin_theorems(
 
     def fold(report, rows):
         tallies: dict[str, int] = {}
-        for instance, (reps, values) in rows:
-            for chk in _theorem_checks(instance, reps, values):
+        for instance, (reps, answers) in rows:
+            for chk in _theorem_checks(instance, reps, [k for k, _, _ in answers]):
                 tallies[chk["name"]] = tallies.get(chk["name"], 0) + 1
                 if chk["expected"] != chk["observed"]:
                     report.violations.append(chk)
@@ -643,6 +696,13 @@ def _pair_questions(scope: dict, rank_pass: bool):
     return _questions(tuples, lambda reps: [(0, 1)], rank_pass, True, scope["node_limit"])
 
 
+def _pair_scan(scan: str, rank_pass: bool, fold, n1, n2, max_total, node_limit, workers):
+    """Run the pair scan of these parameters (see _pair_questions) and fold its rows."""
+    _refuse_past_canonical(n1=n1, n2=n2)
+    scope = {"scan": scan, "n1": n1, "n2": n2, "max_total": max_total, "node_limit": node_limit}
+    return _scan(scope, lambda: _pair_questions(scope, rank_pass), workers, fold)
+
+
 def scan_tmr_additivity(
     n1: int = 3,
     n2: int = 3,
@@ -657,18 +717,10 @@ def scan_tmr_additivity(
     strict inequality is emitted as a replayable counterexample carrying the
     dijoin's minimum-rank certificate.
     """
-    scope = {
-        "scan": "tmr-additivity",
-        "n1": n1,
-        "n2": n2,
-        "max_total": max_total,
-        "node_limit": node_limit,
-    }
-
     def fold(report, rows):
         asserted = evidence_pairs = equal = 0
         counterexamples = []
-        for pair, ((rep1, rep2), (tj,)) in rows:
+        for pair, ((rep1, rep2), ((tj, family, order),)) in rows:
             t1, t2 = rep1.tmr, rep2.tmr
             additive = tj == t1 + t2
             if t1 in (1, 2):
@@ -680,8 +732,8 @@ def scan_tmr_additivity(
                 if additive:
                     equal += 1
                 else:
-                    budget = SearchBudget(node_limit=node_limit)
-                    cert = check_trichotomy(dijoin(*map(decode, pair)), budget).tmr_certificate
+                    J = dijoin(*map(decode, pair))
+                    cert = matrix_certificate(J, family_to_matrix(_carried(family, order)))
                     counterexamples.append(
                         {
                             "d1": pair[0],
@@ -699,7 +751,7 @@ def scan_tmr_additivity(
             "counterexamples": counterexamples,
         }
 
-    return _scan(scope, lambda: _pair_questions(scope, True), workers, fold)
+    return _pair_scan("tmr-additivity", True, fold, n1, n2, max_total, node_limit, workers)
 
 
 def scan_inv_lower_bound(
@@ -716,14 +768,6 @@ def scan_inv_lower_bound(
     conjectured condition inv(Di) = tmr(Di) + 1 for some i, without
     asserting the conjecture.
     """
-    scope = {
-        "scan": "inv-lower-bound",
-        "n1": n1,
-        "n2": n2,
-        "max_total": max_total,
-        "node_limit": node_limit,
-    }
-
     def fold(report, rows):
         cells = {
             "equality_and_condition": 0,
@@ -732,7 +776,7 @@ def scan_inv_lower_bound(
             "strict_no_condition": 0,
         }
         bound_failures = []
-        for pair, ((rep1, rep2), (observed,)) in rows:
+        for pair, ((rep1, rep2), ((observed, _, _),)) in rows:
             lo = rep1.inv + rep2.inv - 1
             if observed < lo:
                 entry = _check("inv-lower-bound", pair, f">= {lo}", observed)
@@ -748,7 +792,7 @@ def scan_inv_lower_bound(
             cells[key] += 1
         report.evidence = {"equality_cells": cells, "bound_counterexamples": bound_failures}
 
-    return _scan(scope, lambda: _pair_questions(scope, False), workers, fold)
+    return _pair_scan("inv-lower-bound", False, fold, n1, n2, max_total, node_limit, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -925,6 +969,7 @@ def scan_schur_3x3(
             f" matrices per pair and would run for hours; use --n2"
             f" {_SCHUR_EXHAUSTIVE_N2_MAX} or less, or sample each pair with --budget"
         )
+    _refuse_past_canonical(n2_max=n2_max)
     scope = {
         "scan": "schur-3x3",
         "n2_max": n2_max,

@@ -203,10 +203,11 @@ def test_unbudgeted_theorem_scope_past_14_vertices_is_refused(monkeypatch):
         run_scan("dijoin-theorems", max_total=15)
     code, text = run_cli("verify-theorems", "--max-n", "5", "--node-limit", "1", "--json")
     assert code == 3 and json.loads(text)["scope"]["triple_total"] == 15
-    # scopes of at most 14 vertices are accepted (planned, not run here)
+    # scopes of at most 14 vertices are accepted (planned, not run here); a
+    # max_total of 14 needs a max_each, since no class has more than 8 vertices
     monkeypatch.setattr(explorer, "_scan", lambda *args: "accepted")
-    for params in ({"max_each": 5, "triple_total": 14}, {"max_total": 14}, {"max_each": 4},
-                   {"max_total": 8, "triple_total": 8}):
+    for params in ({"max_each": 5, "triple_total": 14}, {"max_total": 14, "max_each": 8},
+                   {"max_each": 4}, {"max_total": 8, "triple_total": 8}):
         assert run_scan("dijoin-theorems", **params) == "accepted", params
 
 

@@ -141,10 +141,10 @@ def test_dijoin_pair_task_reads_d2_off_one_search():
     rep = explorer._trichotomy(gap)
     assert (rep.tmr, rep.min_rank_nonzero_diag, rep.inv) == (2, False, 3)
     jobs, values, (pair, (reps, got)) = _theorem_jobs(("3:101", gap))
-    assert reps[1] is rep and got == values == [3, 3]
+    assert reps[1] is rep and [k for k, _, _ in got] == [k for k, _ in values] == [3, 3]
     checks = {
         c["name"]: (c["expected"], c["observed"])
-        for c in explorer._theorem_checks(pair, reps, got)
+        for c in explorer._theorem_checks(pair, reps, [k for k, _, _ in got])
     }
     assert checks == {"dijoin-switch": (3, 3), "dijoin-gap-equivalence": (True, True)}
     # a node limit caps the join searches alone: the operands are still
@@ -187,9 +187,9 @@ def test_theorem_scan_searches_each_class_and_question_once(monkeypatch):
         for tup in explorer._class_tuples([range(1, max_each + 1)] * 3):
             if inv[tup[0]] in (1, 2) and inv[tup[1]] in (1, 2):
                 asked.update({tup, tup[1:]})
-        keys = {explorer._component_key(njoin([decode(e) for e in q])) for q in asked}
+        keys = {explorer._component_key(njoin([decode(e) for e in q]))[0] for q in asked}
         assert len(joins) == len(keys) == questions
-        assert {explorer._component_key(D) for D, _, _ in joins} == keys
+        assert {explorer._component_key(D)[0] for D, _, _ in joins} == keys
         assert all(not rank_pass and upper is not None for _, rank_pass, upper in joins)
 
 
@@ -199,7 +199,7 @@ def test_theorem_scan_searches_each_direction_of_a_pair():
     # one search would read both sides of the switch check
     jobs, values, (pair, (reps, _)) = _theorem_jobs(("3:101", "2:1"))
     assert [args[0] for _, args in jobs] == [("3:010", "1:", "1:"), ("1:", "1:", "3:010")]
-    assert values == [1, 1]
+    assert [k for k, _ in values] == [1, 1]
     # and the switch check reads one value from each
     checks = explorer._theorem_checks(pair, reps, [1, 2])
     assert ("dijoin-switch", 1, 2) in {(c["name"], c["expected"], c["observed"]) for c in checks}
@@ -207,6 +207,21 @@ def test_theorem_scan_searches_each_direction_of_a_pair():
         [("3:101", "2:1")], explorer._theorem_questions, False, True, None
     )
     assert len(jobs) == 1
+
+
+@pytest.mark.parametrize("call, refused", [
+    (lambda: verify_dijoin_theorems(max_total=10, node_limit=100), "max_total = 10"),
+    (lambda: scan_tmr_additivity(n1=9, n2=1), "n1 = 9"),
+    (lambda: scan_inv_lower_bound(n1=2, n2=9, node_limit=10), "n2 = 9"),
+    (lambda: scan_schur_3x3(n2_max=9, samples=1), "n2_max = 9"),
+])
+def test_scopes_past_the_enumerated_classes_are_refused_before_they_start(
+    monkeypatch, call, refused
+):
+    # the refusal names the parameter and the bound, and comes before the scan runs
+    monkeypatch.setattr(explorer, "_scan", lambda *args: pytest.fail("the scan started"))
+    with pytest.raises(ValueError, match=f"^{refused} exceeds MAX_CANONICAL_N = 8"):
+        call()
 
 
 def test_scan_scopes_match_class_counts():
@@ -251,7 +266,12 @@ def test_scan_tmr_additivity_small():
 def _under_reporting_joins(monkeypatch, by: int):
     """Make every join question answer `by` below its value, so the scans' discovery branches run."""
     real = explorer._join_task
-    monkeypatch.setattr(explorer, "_join_task", lambda args: real(args) - by)
+
+    def low(args):
+        got = real(args)
+        return got if isinstance(got, str) else (got[0] - by, got[1])
+
+    monkeypatch.setattr(explorer, "_join_task", low)
 
 
 def test_tmr_additivity_reports_what_an_under_additive_join_breaks(monkeypatch):
@@ -269,6 +289,27 @@ def test_tmr_additivity_reports_what_an_under_additive_join_breaks(monkeypatch):
         cert = Certificate.from_json_dict(entry["dijoin_certificate"])
         assert verify_certificate(J, cert)
         assert entry["tmr_dijoin"] == cert.value - 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("node_limit", [5, 20])
+def test_a_budgeted_scan_places_each_pair_once(monkeypatch, node_limit, workers):
+    # a counterexample's certificate comes from its join question's own
+    # search, so a node limit leaves pairs inconclusive and never raises:
+    # each pair is a violation, a counterexample or inconclusive, and every
+    # certificate replays with the join's real tmr
+    _under_reporting_joins(monkeypatch, 1)
+    report = scan_tmr_additivity(5, 5, node_limit=node_limit, workers=workers)
+    counterexamples = report.evidence["counterexamples"]
+    placed = [tuple(v["instances"]) for v in report.violations]
+    placed += [(entry["d1"], entry["d2"]) for entry in counterexamples]
+    placed += [tuple(entry["instance"]) for entry in report.inconclusive]
+    assert sorted(placed) == sorted(explorer._class_tuples([range(1, 6)] * 2))
+    assert len(counterexamples) > 0 and len(report.inconclusive) > 0
+    for entry in counterexamples:
+        J = dijoin(decode(entry["d1"]), decode(entry["d2"]))
+        cert = Certificate.from_json_dict(entry["dijoin_certificate"])
+        assert verify_certificate(J, cert) and cert.value == entry["tmr_dijoin"] + 1
 
 
 def test_inv_lower_bound_reports_each_join_below_the_bound(monkeypatch):
@@ -328,9 +369,9 @@ def test_inv_bound_pair_task_searches_each_operand_once(monkeypatch):
     joins.clear()
     explorer._trichotomy.cache_clear()
     J = dijoin(decode("3:101"), decode("5:1010110100"))
-    key = explorer._component_key(J)
+    key, _ = explorer._component_key(J)
     assert key == ("3:010", "1:", "3:010", "1:")
-    assert explorer._join_task((key, False, None)) == solve_inv(J).value
+    assert explorer._join_task((key, False, None))[0] == solve_inv(J).value
     assert operands == ["3:010", "1:"]
     assert [encode(D) for D, _, _ in joins] == [encode(njoin([decode(e) for e in key]))]
 
@@ -349,9 +390,9 @@ def test_join_task_stops_at_the_operands_bound_on_a_gap_operand(monkeypatch):
         return k, family
 
     monkeypatch.setattr(explorer, "_levels", levels)
-    key = explorer._component_key(dijoin(C3, decode(gap)))
+    key, _ = explorer._component_key(dijoin(C3, decode(gap)))
     for rank_pass in (True, False):
-        assert explorer._join_task((key, rank_pass, None)) == 3
+        assert explorer._join_task((key, rank_pass, None))[0] == 3
     assert returned == [(True, 3, 3, True), (False, 4, 3, False)]
 
 
@@ -359,14 +400,17 @@ def test_join_key_is_exact_for_tournaments():
     # every ordered pair of classes with n1 + n2 <= 8: the key of the dijoin
     # is the operands' keys in turn, equal keys mean isomorphic dijoins and
     # back, and the converse key is the key of the reversed dijoin
+    def component_key(D):
+        return explorer._component_key(D)[0]
+
     key_of, form_of = {}, {}
     for e1, e2 in explorer._class_tuples([range(1, 8)] * 2, 8):
         D1, D2 = decode(e1), decode(e2)
         J = dijoin(D1, D2)
-        key = explorer._component_key(D1) + explorer._component_key(D2)
-        assert key == explorer._component_key(J)
-        converse = explorer._component_key(reverse(D2)) + explorer._component_key(reverse(D1))
-        assert converse == explorer._component_key(decode(canonical_form(reverse(J))))
+        key = component_key(D1) + component_key(D2)
+        assert key == component_key(J)
+        converse = component_key(reverse(D2)) + component_key(reverse(D1))
+        assert converse == component_key(decode(canonical_form(reverse(J))))
         form = canonical_form(J)
         assert key_of.setdefault(form, key) == key
         assert form_of.setdefault(key, form) == form
@@ -441,7 +485,7 @@ def test_only_a_question_that_ran_out_leaves_an_instance_inconclusive():
     for tup in itertools.chain(explorer._class_tuples(sizes[:2]), explorer._class_tuples(sizes)):
         reps = [check_trichotomy(decode(e)) for e in tup]
         for join in explorer._theorem_questions(reps):
-            key = explorer._component_key(njoin([decode(tup[i]) for i in join]))
+            key, _ = explorer._component_key(njoin([decode(tup[i]) for i in join]))
             got = explorer._join_task((key, False, 5))
             if isinstance(got, str):
                 expected.append({"instance": list(tup), "reason": got})
@@ -479,7 +523,7 @@ def test_every_operand_class_is_answered_within_a_small_search():
     }
     not_strong = 0
     for enc, rep in reports.items():
-        key = explorer._component_key(decode(enc))
+        key, _ = explorer._component_key(decode(enc))
         if len(key) > 1:
             not_strong += 1
             parts = [reports[c] for c in key]

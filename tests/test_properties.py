@@ -36,7 +36,7 @@ from invlab import (
 )
 from invlab.decycling import apply_matrix
 from invlab.digraph import _relabel
-from invlab.explorer import _component_key, _components
+from invlab.explorer import _canonical_int, _component_key, _components
 from invlab.search import (
     SearchBudget,
     _assignment_order,
@@ -280,14 +280,19 @@ def test_certificates_round_trip_json_and_reject_tampering(graph, data):
 @settings(deadline=None)
 @given(arc_lists(max_n=10, tournament=True), st.data())
 def test_components_match_reachability_oracle(graph, data):
-    # winners first, and the key is a relabelling invariant
+    # winners first, the key is a relabelling invariant, and its order and
+    # the canonical order relabel T onto the forms they stand for
     n, arcs = graph
     T = OrientedGraph(n, arcs)
     assert [sorted(c) for c in _components(T)] == arcs_strong_components(n, arcs)
     if n <= 8:
         perm = data.draw(st.permutations(range(n)))
         relabelled = OrientedGraph(n, [(perm[u], perm[v]) for u, v in arcs])
-        assert _component_key(relabelled) == _component_key(T)
+        key, order = _component_key(T)
+        assert _component_key(relabelled)[0] == key
+        joined = njoin([decode(e) for e in key]) if key else T
+        canonical = encode(_relabel(T, _canonical_int(T.out)[1]))
+        assert (_relabel(T, order), canonical) == (joined, canonical_form(T))
 
 
 @st.composite
