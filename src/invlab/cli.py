@@ -27,55 +27,35 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def _budget(args) -> SearchBudget:
-    return SearchBudget(node_limit=args.node_limit)
-
-
 def _graphs_from(arg: str, stdin) -> list[str]:
     if arg == "-":
         return [line.strip() for line in stdin if line.strip()]
     return [arg]
 
 
-def _cmd_inv(args, out) -> int:
+def _cmd_solve(args, out) -> int:
+    # looked up per call, not kept in the cached parser, so a solver rebound in this module runs
+    solve = {"inv": solve_inv, "tmr": solve_tmr}[args.command]
     code = EXIT_OK
     for text in _graphs_from(args.graph, sys.stdin):
         D = decode(text)
-        try:
-            value, cert = solve_inv(D, _budget(args))
-        except Inconclusive as exc:
-            print(f"inv inconclusive for {text}: {exc}", file=out)
-            code = max(code, EXIT_INCONCLUSIVE)
-            continue
-        if args.json:
-            print(json.dumps(cert.to_json_dict()), file=out)
-        else:
-            print(f"inv = {value}", file=out)
-            print(f"family: {cert.payload.to_lists()}", file=out)
-            print(f"order: {list(cert.order)}", file=out)
-    return code
-
-
-def _cmd_tmr(args, out) -> int:
-    code = EXIT_OK
-    for text in _graphs_from(args.graph, sys.stdin):
-        T = decode(text)
-        if not T.is_tournament:
+        if args.command == "tmr" and not D.is_tournament:
             print(f"error: {text} is not a tournament", file=out)
             return EXIT_USAGE
         try:
-            value, cert, nonzero_diag = solve_tmr(T, _budget(args))
+            value, cert, *nonzero_diag = solve(D, SearchBudget(node_limit=args.node_limit))
         except Inconclusive as exc:
-            print(f"tmr inconclusive for {text}: {exc}", file=out)
+            print(f"{args.command} inconclusive for {text}: {exc}", file=out)
             code = max(code, EXIT_INCONCLUSIVE)
             continue
         if args.json:
             print(json.dumps(cert.to_json_dict()), file=out)
-        else:
-            print(f"tmr = {value}", file=out)
-            print(f"matrix: {cert.payload.to_lists()}", file=out)
-            print(f"order: {list(cert.order)}", file=out)
-            print(f"min-rank matrix with nonzero diagonal exists: {nonzero_diag}", file=out)
+            continue
+        print(f"{args.command} = {value}", file=out)
+        print(f"{cert.kind}: {cert.payload.to_lists()}", file=out)
+        print(f"order: {list(cert.order)}", file=out)
+        if nonzero_diag:  # tmr also says whether a minimum-rank matrix has a nonzero diagonal
+            print(f"min-rank matrix with nonzero diagonal exists: {nonzero_diag[0]}", file=out)
     return code
 
 
@@ -204,11 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inv", parents=[search], help="inversion number of a graph")
     p.add_argument("graph", help="graph text, or - to read one per stdin line")
-    p.set_defaults(fn=_cmd_inv)
+    p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("tmr", parents=[search], help="tournament minimum rank")
     p.add_argument("graph", help="tournament text, or - for stdin lines")
-    p.set_defaults(fn=_cmd_tmr)
+    p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("check", help="verify a certificate file")
     p.add_argument("graph")

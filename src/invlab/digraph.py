@@ -9,8 +9,8 @@ special case where every pair is adjacent.  Every structural operation
 the vertices into a given order) is a row operation.
 
 Pair-index bits, one bit per unordered pair {i, j} with i < j in
-lexicographic order, exist only in the text codec: `decode`, `encode`,
-`Tournament(n, bits)` and `pair_bits`.
+lexicographic order, exist only in the text codec: `decode`, `encode` and
+`Tournament(n, bits)`.
 
 Values are immutable after construction and safe to share across workers.
 """
@@ -221,23 +221,11 @@ def decode(text: str) -> OrientedGraph:
     raise ParseError(f"token {text!r}: expected 'n:bits' or 'n;arcs'")
 
 
-def pair_bits(T: Tournament) -> int:
-    """Orientation bits of a tournament in lexicographic pair order (see Tournament)."""
-    bits = 0
-    k = 0
-    for i in range(T.n):
-        row = T.out[i]
-        for j in range(i + 1, T.n):
-            bits |= ((row >> j) & 1) << k
-            k += 1
-    return bits
-
-
 def encode(D: OrientedGraph) -> str:
     """Inverse of decode; tournaments use the bit form."""
     n = D.n
     if D.is_tournament:
-        bits = format(pair_bits(D), f"0{pair_count(n)}b")[::-1] if n > 1 else ""
+        bits = "".join("01"[D.out[i] >> j & 1] for i in range(n) for j in range(i + 1, n))
         return f"{n}:{bits}"
     return f"{n};" + ",".join(f"{u}>{v}" for u, v in D.arcs())
 

@@ -271,6 +271,13 @@ def _class_tuples(sizes_each: Sequence[range], max_total: Optional[int] = None):
             yield from itertools.product(*map(_class_encodings, sizes))
 
 
+def _refuse_negative(**counts: Optional[int]) -> None:
+    """Refuse a negative count, which would run as an empty scan that reports no violations."""
+    for name, n in counts.items():
+        if n is not None and n < 0:
+            raise ValueError(f"{name} must be >= 0, got {n}")
+
+
 def _refuse_past_canonical(**sizes: Optional[int]) -> None:
     """Refuse a scope whose classes would be enumerated past MAX_CANONICAL_N vertices."""
     for name, n in sizes.items():
@@ -634,6 +641,9 @@ def verify_dijoin_theorems(
     than _THEOREMS_EXHAUSTIVE_N_MAX vertices would run for hours, and is
     refused with ValueError.
     """
+    _refuse_negative(
+        max_total=max_total, max_each=max_each, triple_total=triple_total, node_limit=node_limit
+    )
     if max_total is None and max_each is None:
         max_each = 3
     if triple_total is None:
@@ -698,6 +708,7 @@ def _pair_questions(scope: dict, rank_pass: bool):
 
 def _pair_scan(scan: str, rank_pass: bool, fold, n1, n2, max_total, node_limit, workers):
     """Run the pair scan of these parameters (see _pair_questions) and fold its rows."""
+    _refuse_negative(n1=n1, n2=n2, max_total=max_total, node_limit=node_limit)
     _refuse_past_canonical(n1=n1, n2=n2)
     scope = {"scan": scan, "n1": n1, "n2": n2, "max_total": max_total, "node_limit": node_limit}
     return _scan(scope, lambda: _pair_questions(scope, rank_pass), workers, fold)
@@ -963,6 +974,7 @@ def scan_schur_3x3(
     exhaustive scope past n2_max = 5 (minutes) would run for hours and is
     refused with ValueError; a sampled scope of any size is accepted.
     """
+    _refuse_negative(n2_max=n2_max, samples=samples)
     if samples is None and n2_max > _SCHUR_EXHAUSTIVE_N2_MAX:
         raise ValueError(
             f"an exhaustive scan schur-3x3 at --n2 {n2_max} enumerates (3 + n2)! * 8"
@@ -976,12 +988,8 @@ def scan_schur_3x3(
         "samples": samples,
         "seed": seed,
     }
-    jobs = [
-        (_schur_pair_task, (e1, e2, samples, seed))
-        for e1 in _class_encodings(3)
-        for s2 in range(1, n2_max + 1)
-        for e2 in _class_encodings(s2)
-    ]
+    pairs = _class_tuples([range(3, 4), range(1, n2_max + 1)])
+    jobs = [(_schur_pair_task, (e1, e2, samples, seed)) for e1, e2 in pairs]
 
     def fold(report, rows):
         per_class: dict[int, dict] = {}
@@ -1049,8 +1057,5 @@ def run_scan(scan: str, workers: int = 1, **params) -> ScanReport:
 
 def replay(report_or_scope, workers: int = 1) -> ScanReport:
     """Re-run a scan from its scope; deterministic scans reproduce verbatim."""
-    scope = dict(
-        report_or_scope.scope if isinstance(report_or_scope, ScanReport) else report_or_scope
-    )
-    scan = scope.pop("scan")
-    return run_scan(scan, workers=workers, **scope)
+    scope = report_or_scope.scope if isinstance(report_or_scope, ScanReport) else report_or_scope
+    return run_scan(workers=workers, **scope)

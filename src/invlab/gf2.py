@@ -31,8 +31,7 @@ class MatGF2:
         rows = [list(r) for r in rows]
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
-        packed = [sum((int(x) & 1) << c for c, x in enumerate(r)) for r in rows]
-        return cls(len(rows), ncols, packed)
+        return cls(len(rows), ncols, _packed(rows, ncols))
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "MatGF2":
@@ -92,8 +91,7 @@ class SymMatGF2:
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "SymMatGF2":
         rows = [list(r) for r in rows]
-        packed = [sum((int(x) & 1) << c for c, x in enumerate(r)) for r in rows]
-        return cls(len(rows), packed)
+        return cls(len(rows), _packed(rows, len(rows)))
 
     @classmethod
     def zeros(cls, n: int) -> "SymMatGF2":
@@ -136,6 +134,14 @@ class SymMatGF2:
 
     def __repr__(self):
         return f"SymMatGF2({self.to_lists()!r})"
+
+
+def _packed(rows: list[list[int]], width: int) -> list[int]:
+    """0/1 rows of `width` entries as ints with entry c at bit c; ValueError names a ragged row."""
+    for i, r in enumerate(rows):
+        if len(r) != width:
+            raise ValueError(f"row {i} has {len(r)} entries, expected {width}")
+    return [sum((int(x) & 1) << c for c, x in enumerate(r)) for r in rows]
 
 
 def _trusted_sym(n: int, rows: Iterable[int]) -> SymMatGF2:

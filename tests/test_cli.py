@@ -74,6 +74,9 @@ def test_check_rejects_wrong_certificate(tmp_path):
           "order": [1, 2, 0]}, "'value'"),
         ({"kind": "matrix", "matrix": [[1, 1, 2], [1, 1, 0], [2, 0, 0]], "value": 1,
           "order": [1, 2, 0]}, "'matrix'"),
+        # a ragged matrix: short rows are refused, not padded with zeros
+        ({"kind": "matrix", "matrix": [[0, 1, 1], [1], [1]], "value": 2,
+          "order": [1, 0, 2]}, "'matrix'"),
     ],
 )
 def test_check_malformed_certificate_names_the_field(tmp_path, cert, field):
@@ -286,6 +289,44 @@ def test_stdin_batch(monkeypatch):
     code, text = run_cli("inv", "-")
     assert code == 0
     assert text.count("inv = ") == 2
+
+
+# a batch whose second line runs out of an 8-node search and whose third is
+# not a tournament: inv goes on past both, tmr stops at the third
+_BATCH = "3:101\n6:101111111111101\n4;0>1,1>2,2>0,2>3\n5:1010110100\n"
+_RUNS_OUT = (" inconclusive for 6:101111111111101:"
+             " inconclusive (node limit 8 reached at level 1); value >= 1")
+_FAMILY_JSON = ('{"schema": "invlab.certificate/1", "kind": "family", "value": 1,'
+                ' "family": [[1, 2]], "n": %d, "order": %s}')
+_MATRIX_JSON = ('{"schema": "invlab.certificate/1", "kind": "matrix", "value": 1,'
+                ' "matrix": [[0, 0, 0], [0, 1, 1], [0, 1, 1]], "order": [2, 0, 1]}')
+_NOT_A_TOURNAMENT = "error: 4;0>1,1>2,2>0,2>3 is not a tournament"
+
+
+@pytest.mark.parametrize("argv, code, lines", [
+    (["inv"], 3, [
+        "inv = 1", "family: [[1, 2]]", "order: [2, 0, 1]",
+        "inv" + _RUNS_OUT,
+        "inv = 1", "family: [[1, 2]]", "order: [2, 0, 1, 3]",
+        "inv = 1", "family: [[1, 2]]", "order: [4, 2, 0, 1, 3]",
+    ]),
+    (["inv", "--json"], 3, [
+        _FAMILY_JSON % (3, "[2, 0, 1]"),
+        "inv" + _RUNS_OUT,
+        _FAMILY_JSON % (4, "[2, 0, 1, 3]"),
+        _FAMILY_JSON % (5, "[4, 2, 0, 1, 3]"),
+    ]),
+    (["tmr"], 2, [
+        "tmr = 1", "matrix: [[0, 0, 0], [0, 1, 1], [0, 1, 1]]", "order: [2, 0, 1]",
+        "min-rank matrix with nonzero diagonal exists: True",
+        "tmr" + _RUNS_OUT,
+        _NOT_A_TOURNAMENT,
+    ]),
+    (["tmr", "--json"], 2, [_MATRIX_JSON, "tmr" + _RUNS_OUT, _NOT_A_TOURNAMENT]),
+])
+def test_solve_batch_output(monkeypatch, argv, code, lines):
+    monkeypatch.setattr("sys.stdin", io.StringIO(_BATCH))
+    assert run_cli(argv[0], "-", "--node-limit", "8", *argv[1:]) == (code, "\n".join(lines) + "\n")
 
 
 def test_byte_identical_reruns():

@@ -224,6 +224,27 @@ def test_scopes_past_the_enumerated_classes_are_refused_before_they_start(
         call()
 
 
+@pytest.mark.parametrize("call, refused", [
+    (lambda: scan_tmr_additivity(-1, 3), "n1"),
+    (lambda: scan_inv_lower_bound(n1=2, n2=-4), "n2"),
+    (lambda: scan_tmr_additivity(max_total=-1), "max_total"),
+    (lambda: scan_inv_lower_bound(node_limit=-5), "node_limit"),
+    (lambda: verify_dijoin_theorems(max_each=-2), "max_each"),
+    (lambda: verify_dijoin_theorems(max_total=-3, node_limit=10), "max_total"),
+    (lambda: verify_dijoin_theorems(max_total=4, triple_total=-1), "triple_total"),
+    (lambda: verify_dijoin_theorems(node_limit=-1), "node_limit"),
+    (lambda: scan_schur_3x3(n2_max=-1), "n2_max"),
+    (lambda: scan_schur_3x3(n2_max=2, samples=-3), "samples"),
+    (lambda: replay({"scan": "inv-lower-bound", "n1": 2, "n2": -4, "max_total": None,
+                     "node_limit": None}), "n2"),
+])
+def test_negative_scope_counts_are_refused_before_the_scan_starts(monkeypatch, call, refused):
+    # a negative count would run as an empty scan that reports no violations
+    monkeypatch.setattr(explorer, "_scan", lambda *args: pytest.fail("the scan started"))
+    with pytest.raises(ValueError, match=f"^{refused} must be >= 0, got -"):
+        call()
+
+
 def test_scan_scopes_match_class_counts():
     # one instance per tuple of classes; class counts from OEIS A000568
     classes = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12}

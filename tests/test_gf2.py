@@ -221,3 +221,13 @@ def test_schur_rank_identity_random():
 def test_symmetry_validation():
     with pytest.raises(ValueError, match="not symmetric"):
         SymMatGF2.from_rows([[0, 1], [0, 0]])
+
+
+def test_from_rows_refuses_ragged_rows():
+    # a row of another length is refused, naming the row, rather than padded with zeros
+    with pytest.raises(ValueError, match="^row 1 has 1 entries, expected 3$"):
+        SymMatGF2.from_rows([[0, 1, 1], [1], [1]])
+    with pytest.raises(ValueError, match="^row 1 has 1 entries, expected 2$"):
+        MatGF2.from_rows([[1, 0], [1]])
+    with pytest.raises(ValueError, match="^row 0 has 3 entries, expected 2$"):
+        MatGF2.from_rows([[1, 0, 0], [0, 1]], 2)
