@@ -4,6 +4,7 @@ from .digraph import (
     OrientedGraph,
     ParseError,
     Tournament,
+    UsageError,
     VertexFamily,
     decode,
     dijoin,

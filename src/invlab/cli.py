@@ -16,8 +16,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .decycling import Certificate, _json_int, _json_rows, certificate_error
-from .digraph import ParseError, VertexFamily, decode, encode, njoin
-from .explorer import MAX_CANONICAL_N, canonical_form, enumerate_tournaments, run_scan
+from .digraph import UsageError, VertexFamily, _refuse_below, decode, encode, njoin
+from .explorer import canonical_form, enumerate_tournaments, run_scan
 from .search import Inconclusive, SearchBudget, solve_inv, solve_tmr
 from .constructions import extend_to_tournament
 
@@ -33,17 +33,24 @@ def _graphs_from(arg: str, stdin) -> list[str]:
     return [arg]
 
 
+def _decoded(text: str, tournament: bool):
+    """The graph of text, refused naming text if a tournament is asked for and it is not one."""
+    D = decode(text)
+    if tournament and not D.is_tournament:
+        raise UsageError(f"{text} is not a tournament")
+    return D
+
+
 def _cmd_solve(args, out) -> int:
     # looked up per call, not kept in the cached parser, so a solver rebound in this module runs
     solve = {"inv": solve_inv, "tmr": solve_tmr}[args.command]
+    _refuse_below(1, workers=args.workers)
+    budget = SearchBudget(node_limit=args.node_limit)
     code = EXIT_OK
     for text in _graphs_from(args.graph, sys.stdin):
-        D = decode(text)
-        if args.command == "tmr" and not D.is_tournament:
-            print(f"error: {text} is not a tournament", file=out)
-            return EXIT_USAGE
+        D = _decoded(text, args.command == "tmr")
         try:
-            value, cert, *nonzero_diag = solve(D, SearchBudget(node_limit=args.node_limit))
+            value, cert, *nonzero_diag = solve(D, budget)
         except Inconclusive as exc:
             print(f"{args.command} inconclusive for {text}: {exc}", file=out)
             code = max(code, EXIT_INCONCLUSIVE)
@@ -64,9 +71,8 @@ def _cmd_check(args, out) -> int:
     with open(args.cert, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
-            print(f"error: --cert {args.cert} is not JSON ({exc})", file=out)
-            return EXIT_USAGE
+        except (RecursionError, ValueError) as exc:  # bad JSON, nested too deep, or not UTF-8
+            raise UsageError(f"--cert {args.cert} is not JSON ({exc})") from None
     cert = Certificate.from_json_dict(data)
     err = certificate_error(D, cert)
     if err is None:
@@ -85,9 +91,8 @@ def _cmd_extend(args, out) -> int:
     D = decode(args.graph)
     try:
         family = VertexFamily.from_sets(D.n, _json_rows(json.loads(args.family), _json_int))
-    except (TypeError, ValueError) as exc:
-        print(f"error: --family must be a JSON list of vertex lists ({exc})", file=out)
-        return EXIT_USAGE
+    except (RecursionError, TypeError, ValueError) as exc:
+        raise UsageError(f"--family must be a JSON list of vertex lists ({exc})") from None
     try:
         print(encode(extend_to_tournament(D, family)), file=out)
     except ValueError as exc:
@@ -104,7 +109,7 @@ def _cmd_enumerate(args, out) -> int:
 
 def _cmd_canonical(args, out) -> int:
     for text in _graphs_from(args.graph, sys.stdin):
-        print(canonical_form(decode(text)), file=out)
+        print(canonical_form(_decoded(text, tournament=True)), file=out)
     return EXIT_OK
 
 
@@ -117,6 +122,8 @@ _SCAN_FLAGS = {
     "schur-3x3": {"n2": "n2_max", "budget": "samples", "seed": "seed"},
 }
 _SCAN_OPTIONS = {flag for reads in _SCAN_FLAGS.values() for flag in reads}
+# the flag that sets each library parameter, so that a refusal names what was typed
+_FLAG_OF = {p: f for r in _SCAN_FLAGS.values() for f, p in r.items()} | {"workers": "workers"}
 
 
 def _option(flag: str) -> str:
@@ -130,15 +137,11 @@ def _cmd_scan(args, out) -> int:
         if flag not in _SCAN_OPTIONS or value is None:
             continue
         if flag not in reads:
-            print(f"error: scan {args.scan} takes no {_option(flag)};"
-                  f" it reads {', '.join(map(_option, reads))}", file=out)
-            return EXIT_USAGE
+            raise UsageError(f"scan {args.scan} takes no {_option(flag)};"
+                             f" it reads {', '.join(map(_option, reads))}")
         params[reads[flag]] = value
     report = run_scan(args.scan, workers=args.workers, **params)
-    if args.json:
-        print(json.dumps(report.to_json_dict()), file=out)
-    else:
-        print(report.table(), file=out)
+    print(json.dumps(report.to_json_dict()) if args.json else report.table(), file=out)
     if report.violations:
         return EXIT_VIOLATION
     if report.inconclusive:
@@ -146,35 +149,18 @@ def _cmd_scan(args, out) -> int:
     return EXIT_OK
 
 
-def _at_least(low: int, high: Optional[int] = None):
-    """An argparse type: an int >= low, and <= high if given, else a usage error naming the flag."""
-
-    def count(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
-        return value
-
-    return count
-
-
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The invlab parser, built once per process: parsing never changes it."""
-    count = _at_least(0)
-    # operand sizes stop where the isomorphism classes do
-    size = _at_least(0, MAX_CANONICAL_N)
     # the options of the commands that search; the others take none of them
     search = argparse.ArgumentParser(add_help=False)
     search.add_argument("--json", action="store_true", help="emit JSON schemas verbatim")
     search.add_argument(
-        "--workers", type=_at_least(1), default=1,
+        "--workers", type=int, default=1,
         help="process count for scan and verify-theorems; inv and tmr accept it"
         " and run one search in one process",
     )
-    search.add_argument("--node-limit", type=count, default=None, help="search node cap")
+    search.add_argument("--node-limit", type=int, default=None, help="search node cap")
 
     parser = argparse.ArgumentParser(
         prog="invlab",
@@ -218,14 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_canonical)
 
     p = sub.add_parser("verify-theorems", parents=[search], help="check the proven identities")
-    p.add_argument("--max-n", type=size, default=None, help="max operand size")
+    p.add_argument("--max-n", type=int, default=None, help="max operand size")
     p.set_defaults(fn=_cmd_scan, scan="dijoin-theorems")
 
     p = sub.add_parser("scan", parents=[search], help="conjecture scans")
     p.add_argument("scan", choices=["tmr-additivity", "inv-lower-bound", "schur-3x3"])
-    p.add_argument("--n1", type=size, default=None, help="max size of the first operand")
-    p.add_argument("--n2", type=size, default=None, help="max size of the second operand")
-    p.add_argument("--budget", type=count, default=None, help="schur-3x3 sample count")
+    p.add_argument("--n1", type=int, default=None, help="max size of the first operand")
+    p.add_argument("--n2", type=int, default=None, help="max size of the second operand")
+    p.add_argument("--budget", type=int, default=None, help="schur-3x3 sample count")
     p.add_argument("--seed", type=int, default=None, help="schur-3x3 sample seed")
     p.set_defaults(fn=_cmd_scan)
 
@@ -234,15 +220,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args, out)
-    except (ParseError, OSError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=out)
+    except (UsageError, OSError) as exc:
+        # counts parse as plain ints, so the library's range checks are the only ones;
+        # any other exception is a fault, and propagates with its traceback
+        flag = _FLAG_OF.get(getattr(exc, "param", None))
+        print(f"error: argument {_option(flag)}: {exc}" if flag else f"error: {exc}", file=out)
         return EXIT_USAGE
     except Inconclusive as exc:
         print(f"inconclusive: {exc}", file=out)

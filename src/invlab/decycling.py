@@ -15,6 +15,7 @@ from typing import Union
 from .digraph import (
     OrientedGraph,
     Tournament,
+    UsageError,
     VertexFamily,
     _make,
     _topological_order_or_none,
@@ -53,20 +54,20 @@ class Certificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Certificate":
-        """Parse certificate JSON; ValueError names a missing or malformed field or unknown kind."""
+        """Parse certificate JSON; UsageError names a missing or malformed field or unknown kind."""
         if not isinstance(data, dict):
-            raise ValueError("certificate JSON must be an object")
+            raise UsageError("certificate JSON must be an object")
         kind = data.get("kind")
         if kind not in ("family", "matrix"):
-            raise ValueError(f"unknown certificate kind {kind!r}")
+            raise UsageError(f"certificate field 'kind' must be 'family' or 'matrix', got {kind!r}")
 
         def field(name, parse):
             if name not in data:
-                raise ValueError(f"{kind} certificate is missing the field {name!r}")
+                raise UsageError(f"{kind} certificate is missing the field {name!r}")
             try:
                 return parse(data[name])
             except (TypeError, ValueError) as exc:
-                raise ValueError(f"{kind} certificate field {name!r} is malformed: {exc}") from None
+                raise UsageError(f"{kind} certificate field {name!r} is malformed: {exc}") from None
 
         if kind == "family":
             sets = field("family", lambda x: _json_rows(x, _json_int))

@@ -24,8 +24,23 @@ from typing import Iterable, Sequence
 MAX_VERTICES = 64  # a vertex subset always fits one machine word
 
 
-class ParseError(ValueError):
+class UsageError(ValueError):
+    """Malformed input or a refused scope; `param` names the refused parameter, if one is."""
+
+    def __init__(self, message: str, param: str | None = None):
+        super().__init__(message)
+        self.param = param
+
+
+class ParseError(UsageError):
     """Malformed graph text; the message names the offending token."""
+
+
+def _refuse_below(low: int, **values: int | None) -> None:
+    """Refuse a value below low (None is unset): it would ask nothing and report nothing wrong."""
+    for name, value in values.items():
+        if value is not None and value < low:
+            raise UsageError(f"{name} must be >= {low}, got {value}", name)
 
 
 def pair_count(n: int) -> int:
@@ -125,7 +140,7 @@ class Tournament(OrientedGraph):
 
 def _check_vertex_count(n: int) -> None:
     if not (0 <= n <= MAX_VERTICES):
-        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+        raise UsageError(f"vertex count {n} outside 0..{MAX_VERTICES}")
 
 
 def _make(n: int, out: Iterable[int], adj: Sequence[int] | None = None) -> OrientedGraph:

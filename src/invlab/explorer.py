@@ -73,7 +73,9 @@ from .decycling import (
 )
 from .digraph import (
     Tournament,
+    UsageError,
     VertexFamily,
+    _refuse_below,
     _relabel,
     decode,
     dijoin,
@@ -158,12 +160,19 @@ def _packed_text(n: int, value: int) -> str:
     return f"{n}:{value:0{m}b}" if m else f"{n}:"
 
 
+def _refuse_past_canonical(**sizes: Optional[int]) -> None:
+    """Refuse a size (None is unset) past the tournaments that have canonical forms here."""
+    for name, n in sizes.items():
+        if n is not None and n > MAX_CANONICAL_N:
+            raise UsageError(f"{name} = {n} exceeds MAX_CANONICAL_N = {MAX_CANONICAL_N}: classes"
+                             f" are enumerated for n <= {MAX_CANONICAL_N}", name)
+
+
 def canonical_form(T: Tournament) -> str:
     """Canonical encoding, equal exactly for isomorphic tournaments (n <= 8)."""
     if not T.is_tournament:
         raise TypeError("canonical_form is defined for tournaments")
-    if T.n > MAX_CANONICAL_N:
-        raise ValueError(f"canonical_form supports n <= {MAX_CANONICAL_N}")
+    _refuse_past_canonical(n=T.n)
     return _packed_text(T.n, _canonical_int(T.out)[0])
 
 
@@ -189,8 +198,8 @@ def _iso_class_ints(n: int) -> tuple[int, ...]:
 
 def enumerate_tournaments(n: int, up_to_iso: bool = True) -> Iterator[Tournament]:
     """All tournaments on n vertices, one per isomorphism class by default (n <= 8)."""
-    if n > MAX_CANONICAL_N:
-        raise ValueError(f"enumeration supports n <= {MAX_CANONICAL_N}")
+    _refuse_below(0, n=n)
+    _refuse_past_canonical(n=n)
     if up_to_iso:
         for canon in _iso_class_ints(n):
             yield decode(_packed_text(n, canon))
@@ -240,17 +249,13 @@ class ScanReport:
             f"inconclusive       {len(self.inconclusive)}",
             f"elapsed            {self.elapsed:.2f}s",
         ]
-        for v in self.violations:
-            lines.append(f"  VIOLATION {v}")
+        lines += [f"  VIOLATION {v}" for v in self.violations]
         for key, val in sorted(self.evidence.items()):
             if key == "inconclusive":
                 continue
-            if isinstance(val, (int, float, str, bool)):
-                lines.append(f"  evidence {key}: {val}")
-            elif isinstance(val, list):
+            if isinstance(val, list):
                 lines.append(f"  evidence {key}: {len(val)} entries")
-                for entry in val[:10]:
-                    lines.append(f"    {entry}")
+                lines += [f"    {entry}" for entry in val[:10]]
             else:
                 lines.append(f"  evidence {key}: {val}")
         return "\n".join(lines)
@@ -269,20 +274,6 @@ def _class_tuples(sizes_each: Sequence[range], max_total: Optional[int] = None):
     for sizes in itertools.product(*sizes_each):
         if max_total is None or sum(sizes) <= max_total:
             yield from itertools.product(*map(_class_encodings, sizes))
-
-
-def _refuse_negative(**counts: Optional[int]) -> None:
-    """Refuse a negative count, which would run as an empty scan that reports no violations."""
-    for name, n in counts.items():
-        if n is not None and n < 0:
-            raise ValueError(f"{name} must be >= 0, got {n}")
-
-
-def _refuse_past_canonical(**sizes: Optional[int]) -> None:
-    """Refuse a scope whose classes would be enumerated past MAX_CANONICAL_N vertices."""
-    for name, n in sizes.items():
-        if n is not None and n > MAX_CANONICAL_N:
-            raise ValueError(f"{name} = {n} exceeds MAX_CANONICAL_N = {MAX_CANONICAL_N}")
 
 
 def _check(name: str, instances: list, expected, observed) -> dict:
@@ -410,6 +401,7 @@ def _scan(scope: dict, plan, workers: int, fold) -> ScanReport:
     order.  A report checks one instance per outcome unless fold counts
     otherwise.  plan runs on the clock, so elapsed covers operand searches.
     """
+    _refuse_below(1, workers=workers)
     t0 = time.perf_counter()
     jobs, outcomes = plan()
     done = outcomes(_fan_out(jobs, workers))
@@ -639,11 +631,11 @@ def verify_dijoin_theorems(
 
     Without a node limit, a scope whose largest pair or triple has more
     than _THEOREMS_EXHAUSTIVE_N_MAX vertices would run for hours, and is
-    refused with ValueError.
+    refused with UsageError.
     """
-    _refuse_negative(
-        max_total=max_total, max_each=max_each, triple_total=triple_total, node_limit=node_limit
-    )
+    _refuse_below(0, max_total=max_total, triple_total=triple_total, node_limit=node_limit)
+    _refuse_below(1, max_each=max_each)
+    _refuse_past_canonical(max_each=max_each)
     if max_total is None and max_each is None:
         max_each = 3
     if triple_total is None:
@@ -655,15 +647,14 @@ def verify_dijoin_theorems(
 
     n = max(largest(2, max_total), largest(3, triple_total))
     if node_limit is None and n > _THEOREMS_EXHAUSTIVE_N_MAX:
-        raise ValueError(
+        raise UsageError(
             f"an unbudgeted verify-theorems scope joins up to {n} vertices and would run"
             f" for hours; use --max-n {_THEOREMS_EXHAUSTIVE_N_MAX // 3} or less, or cap"
-            f" each join question's search with --node-limit"
+            f" each join question's search with --node-limit",
+            "max_total" if max_each is None else "max_each",
         )
     if max_each is None:
         _refuse_past_canonical(max_total=max_total, triple_total=triple_total)
-    else:
-        _refuse_past_canonical(max_each=max_each)
     scope = {
         "scan": "dijoin-theorems",
         "max_total": max_total,
@@ -708,7 +699,8 @@ def _pair_questions(scope: dict, rank_pass: bool):
 
 def _pair_scan(scan: str, rank_pass: bool, fold, n1, n2, max_total, node_limit, workers):
     """Run the pair scan of these parameters (see _pair_questions) and fold its rows."""
-    _refuse_negative(n1=n1, n2=n2, max_total=max_total, node_limit=node_limit)
+    _refuse_below(0, max_total=max_total, node_limit=node_limit)
+    _refuse_below(1, n1=n1, n2=n2)
     _refuse_past_canonical(n1=n1, n2=n2)
     scope = {"scan": scan, "n1": n1, "n2": n2, "max_total": max_total, "node_limit": node_limit}
     return _scan(scope, lambda: _pair_questions(scope, rank_pass), workers, fold)
@@ -972,16 +964,18 @@ def scan_schur_3x3(
 
     An exhaustive pair enumerates all (3 + n2)! * 2^3 matrices, so an
     exhaustive scope past n2_max = 5 (minutes) would run for hours and is
-    refused with ValueError; a sampled scope of any size is accepted.
+    refused with UsageError; a sampled scope runs up to MAX_CANONICAL_N.
     """
-    _refuse_negative(n2_max=n2_max, samples=samples)
+    _refuse_below(0, samples=samples)
+    _refuse_below(1, n2_max=n2_max)
+    _refuse_past_canonical(n2_max=n2_max)
     if samples is None and n2_max > _SCHUR_EXHAUSTIVE_N2_MAX:
-        raise ValueError(
+        raise UsageError(
             f"an exhaustive scan schur-3x3 at --n2 {n2_max} enumerates (3 + n2)! * 8"
             f" matrices per pair and would run for hours; use --n2"
-            f" {_SCHUR_EXHAUSTIVE_N2_MAX} or less, or sample each pair with --budget"
+            f" {_SCHUR_EXHAUSTIVE_N2_MAX} or less, or sample each pair with --budget",
+            "n2_max",
         )
-    _refuse_past_canonical(n2_max=n2_max)
     scope = {
         "scan": "schur-3x3",
         "n2_max": n2_max,
@@ -1051,7 +1045,7 @@ _SCANS = {
 
 def run_scan(scan: str, workers: int = 1, **params) -> ScanReport:
     if scan not in _SCANS:
-        raise ValueError(f"unknown scan {scan!r}; choose from {sorted(_SCANS)}")
+        raise UsageError(f"unknown scan {scan!r}; choose from {sorted(_SCANS)}", "scan")
     return _SCANS[scan](workers=workers, **params)
 
 

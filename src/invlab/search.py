@@ -85,6 +85,7 @@ from .digraph import (
     OrientedGraph,
     Tournament,
     VertexFamily,
+    _refuse_below,
     _relabel,
 )
 
@@ -100,8 +101,7 @@ class SearchBudget:
     node_limit: Optional[int] = None
 
     def __post_init__(self):
-        if self.node_limit is not None and self.node_limit < 0:
-            raise ValueError("node_limit must be nonnegative")
+        _refuse_below(0, node_limit=self.node_limit)
 
 
 class Inconclusive(Exception):

@@ -1,13 +1,18 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from invlab import explorer
+from invlab import UsageError, explorer
 from invlab.cli import main
 from invlab.explorer import run_scan
 
@@ -102,8 +107,8 @@ def test_family_certificate_states_its_vertex_count(tmp_path, graph, cert):
 
 @pytest.mark.parametrize(
     "content",
-    [b"", b'{"kind": "family", "fam', b"\xff\xfe"],
-    ids=["empty", "truncated", "not-utf8"],
+    [b"", b'{"kind": "family", "fam', b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000],
+    ids=["empty", "truncated", "not-utf8", "too-deep"],
 )
 def test_check_certificate_that_is_not_json_names_the_flag(tmp_path, content):
     path = tmp_path / "bad.json"
@@ -242,12 +247,35 @@ def test_budget_is_only_the_schur_sample_count():
     (["verify-theorems", "--max-n", "9"], "--max-n"),
     (["scan", "tmr-additivity", "--n1", "9"], "--n1"),
     (["scan", "schur-3x3", "--n2", "9"], "--n2"),
+    (["inv", "3:101", "--workers", "0"], "--workers"),
+    # a size cap of 0 lists no instance, and would report no violations
+    (["verify-theorems", "--max-n", "0"], "--max-n"),
+    (["scan", "inv-lower-bound", "--n1", "0"], "--n1"),
+    (["scan", "schur-3x3", "--n2", "0"], "--n2"),
 ])
-def test_negative_counts_are_usage_errors(capsys, argv, flag):
-    code, _ = run_cli(*argv)
+def test_negative_counts_are_usage_errors(argv, flag):
+    # the library refuses the value; the CLI names the flag that set it
+    code, text = run_cli(*argv)
     assert code == 2
-    bound = "<= 8, got 9" if "9" in argv else ">= "
-    assert f"argument {flag}: must be {bound}" in capsys.readouterr().err
+    if "9" in argv:
+        bound = "<= 8"
+    else:
+        bound = ">= 0" if flag in ("--budget", "--node-limit") else ">= 1"
+    assert text.startswith(f"error: argument {flag}: ") and bound in text, text
+
+
+@pytest.mark.parametrize("call, refused", [
+    (lambda: explorer.scan_tmr_additivity(2, 2, workers=0), "workers must be >= 1, got 0"),
+    (lambda: explorer.verify_dijoin_theorems(max_each=0), "max_each must be >= 1, got 0"),
+    (lambda: explorer.scan_inv_lower_bound(n1=0), "n1 must be >= 1, got 0"),
+    (lambda: explorer.scan_tmr_additivity(n2=0), "n2 must be >= 1, got 0"),
+    (lambda: explorer.scan_schur_3x3(n2_max=0), "n2_max must be >= 1, got 0"),
+])
+def test_library_refusals_are_usage_errors(monkeypatch, call, refused):
+    monkeypatch.setattr(explorer, "_fan_out", lambda *args: pytest.fail("the scan started"))
+    with pytest.raises(UsageError, match=f"^{refused}$") as info:
+        call()
+    assert info.value.param == refused.split()[0]
 
 
 def test_usage_errors_name_the_input():
@@ -264,6 +292,115 @@ def test_usage_errors_name_the_input():
     for family, token in (("{}", "{}"), ("[[true]]", "True"), ("[[0.5]]", "0.5")):
         code, text = run_cli("extend", "3;0>1", "--family", family)
         assert code == 2 and "--family" in text and token in text, family
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("fault", [ValueError, TypeError])
+def test_a_fault_inside_a_scan_job_is_not_a_usage_error(monkeypatch, tmp_path, fault, workers):
+    # a bug inside a join job surfaces with its traceback instead of reading
+    # as a mistyped flag; with two workers the caller holds its first job
+    # until the worker has claimed one, so the worker's fault is the one raised
+    caller = os.getpid()
+    claimed = tmp_path / "claimed"
+    join_task = explorer._join_task
+
+    def task(args):
+        if workers == "1" or os.getpid() != caller:
+            claimed.touch()
+            raise fault("bug inside a join job")
+        deadline = time.monotonic() + 30
+        while not claimed.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return join_task(args)
+
+    monkeypatch.setattr(explorer, "_join_task", task)
+    with pytest.raises(fault, match="bug inside a join job") as info:
+        run_cli("scan", "tmr-additivity", "--n1", "2", "--n2", "2", "--workers", workers)
+    if workers == "2":
+        assert "raised in scan worker" in info.value.__notes__[0]
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+# graph text from the codec's alphabet (no '-', which argparse reads as an
+# option and the solve commands as stdin), and well-formed graphs
+_WELL_FORMED = st.sampled_from(["3:101", "3:111", "4:101101", "5:1010110100", "0:", "3;0>1",
+                                "4;0>1,1>2,2>0,2>3"])
+_GRAPHS = st.one_of(st.text(alphabet="0123456789:;>,x ", max_size=10), _WELL_FORMED)
+_FIELDS = ("kind", "family", "matrix", "value", "order", "n")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats(-2, 9) | st.text("01a", max_size=2),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(_FIELDS), inner),
+    max_leaves=12,
+)
+_CERTS = st.one_of(
+    st.binary(max_size=12),
+    _JSON.map(lambda x: json.dumps(x).encode()),
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["family", "matrix", "sets"])},
+        optional={name: _JSON for name in _FIELDS[1:]},
+    ).map(lambda x: json.dumps(x).encode()),
+)
+_COUNTS = st.sampled_from(["-1", "0", "1", "2", "9"])
+
+
+def _flags(draw, *names):
+    """Some of the flags named, each with a drawn count."""
+    return [arg for name in names if draw(st.booleans()) for arg in (name, draw(_COUNTS))]
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, certificate file bytes or None) for one command with malformed or odd input."""
+    command = draw(st.sampled_from(["inv", "tmr", "check", "dijoin", "njoin", "extend",
+                                    "enumerate", "canonical", "verify-theorems", "scan"]))
+    graph = draw(_GRAPHS)
+    if command in ("inv", "tmr"):
+        return [command, graph, "--node-limit", draw(st.sampled_from(["-1", "0", "30"]))], None
+    if command == "check":
+        return [command, draw(_WELL_FORMED), "--cert"], draw(_CERTS)
+    if command == "dijoin":
+        return [command, graph, draw(_GRAPHS)], None
+    if command == "njoin":
+        return [command, graph, *draw(st.lists(_GRAPHS, max_size=2))], None
+    if command == "extend":
+        family = draw(st.one_of(_JSON.map(json.dumps), st.text("[]0123, x", max_size=8)))
+        return [command, draw(_WELL_FORMED), "--family", family], None
+    if command == "enumerate":
+        n = draw(st.sampled_from(["-2", "0", "3", "9"]))
+        return [command, n, *draw(st.sampled_from([[], ["--iso"]]))], None
+    if command == "canonical":
+        return [command, graph], None
+    if command == "verify-theorems":
+        return [command, *_flags(draw, "--max-n", "--node-limit", "--workers")], None
+    # schur-3x3 stays sampled: an exhaustive pair at n2 >= 2 takes a while
+    scan = draw(st.sampled_from(["tmr-additivity", "inv-lower-bound", "schur-3x3"]))
+    flags = _flags(draw, "--n1", "--n2", "--node-limit", "--seed", "--workers")
+    budget = ["--budget", draw(st.sampled_from(["-1", "0", "2"]))]
+    return ["scan", scan, *flags, *(budget if scan == "schur-3x3" else [])], None
+
+
+@seed(28)
+@settings(deadline=None, max_examples=400, database=None)
+@given(_invocations())
+def test_malformed_input_is_a_usage_error_naming_it(invocation):
+    # no exception escapes main; an exit 2 names the graph token, the
+    # certificate field, the flag, or (a join past 64 vertices) the vertex count
+    argv, cert = invocation
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        if cert is not None:
+            path = os.path.join(tmp, "cert.json")
+            with open(path, "wb") as fh:
+                fh.write(cert)
+            argv = argv + [path]
+        code, text = run_cli(*argv)
+    text += err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code, text)
+    if code == 2:
+        names = [a for a in argv if a.startswith("--") or (a.strip() and a in text)]
+        names += ["token '", "arc ", "vertex count", "n must be", "n = ", "object"]
+        names += [f"'{field}'" for field in _FIELDS]
+        assert any(name in text for name in names), (argv, text)
 
 
 def test_tmr_certificate_checks_back(tmp_path):

@@ -18,6 +18,7 @@ from invlab import (
     SearchBudget,
     SymMatGF2,
     Tournament,
+    UsageError,
     canonical_form,
     check_trichotomy,
     decode,
@@ -220,7 +221,7 @@ def test_scopes_past_the_enumerated_classes_are_refused_before_they_start(
 ):
     # the refusal names the parameter and the bound, and comes before the scan runs
     monkeypatch.setattr(explorer, "_scan", lambda *args: pytest.fail("the scan started"))
-    with pytest.raises(ValueError, match=f"^{refused} exceeds MAX_CANONICAL_N = 8"):
+    with pytest.raises(UsageError, match=f"^{refused} exceeds MAX_CANONICAL_N = 8"):
         call()
 
 
@@ -239,10 +240,13 @@ def test_scopes_past_the_enumerated_classes_are_refused_before_they_start(
                      "node_limit": None}), "n2"),
 ])
 def test_negative_scope_counts_are_refused_before_the_scan_starts(monkeypatch, call, refused):
-    # a negative count would run as an empty scan that reports no violations
+    # a negative count would run as an empty scan that reports no violations;
+    # so would a size cap of 0, so the size caps must be >= 1
+    low = 1 if refused in ("n1", "n2", "n2_max", "max_each") else 0
     monkeypatch.setattr(explorer, "_scan", lambda *args: pytest.fail("the scan started"))
-    with pytest.raises(ValueError, match=f"^{refused} must be >= 0, got -"):
+    with pytest.raises(UsageError, match=f"^{refused} must be >= {low}, got -") as info:
         call()
+    assert info.value.param == refused
 
 
 def test_scan_scopes_match_class_counts():
@@ -598,7 +602,7 @@ def test_reports_replay_identically():
 
 
 def test_run_scan_rejects_unknown_id():
-    with pytest.raises(ValueError, match="unknown scan"):
+    with pytest.raises(UsageError, match="unknown scan"):
         run_scan("nope")
 
 

@@ -13,6 +13,7 @@ from invlab import (
     SearchBudget,
     SymMatGF2,
     Tournament,
+    UsageError,
     VertexFamily,
     check_trichotomy,
     decode,
@@ -264,7 +265,7 @@ def test_solve_tmr_against_brute_force_enumeration():
 
 
 def test_budget_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match="^node_limit must be >= 0, got -1$"):
         SearchBudget(node_limit=-1)
 
 
