@@ -17,7 +17,7 @@ from .digraph import (
     Tournament,
     UsageError,
     VertexFamily,
-    _make,
+    _flip,
     _topological_order_or_none,
     invert,
     is_acyclic,
@@ -114,7 +114,7 @@ def apply_matrix(T: Tournament, M: SymMatGF2) -> Tournament:
         raise TypeError("decycling matrices are defined for tournaments only")
     if M.n != T.n:
         raise ValueError(f"matrix of size {M.n}, tournament on {T.n}")
-    return _make(T.n, [o ^ (r & ~(1 << i)) for i, (o, r) in enumerate(zip(T.out, M.rows))])
+    return _flip(T, M.rows)
 
 
 def is_decycling_matrix(T: Tournament, M: SymMatGF2) -> bool:
@@ -127,10 +127,8 @@ def is_decycling_matrix(T: Tournament, M: SymMatGF2) -> bool:
 
 
 def family_to_matrix(family: VertexFamily) -> SymMatGF2:
-    """Gram matrix of the family's characteristic vectors."""
-    chi = family.char_vectors()
-    X = MatGF2(family.n, family.m, chi)
-    return gram(X)
+    """Gram matrix of the family's characteristic vectors; `invert` flips D by its rows."""
+    return gram(MatGF2(family.n, family.m, family.char_vectors()))
 
 
 def matrix_to_family(M: SymMatGF2) -> VertexFamily:

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from .gf2 import MatGF2, gram
+
 MAX_VERTICES = 64  # a vertex subset always fits one machine word
 
 
@@ -250,8 +252,10 @@ def _parse_count(token: str) -> int:
         n = int(token)
     except ValueError:
         raise ParseError(f"token {token!r}: vertex count must be an integer") from None
-    if not (0 <= n <= MAX_VERTICES):
-        raise ParseError(f"token {token!r}: vertex count outside 0..{MAX_VERTICES}")
+    try:
+        _check_vertex_count(n)
+    except UsageError as exc:
+        raise ParseError(f"token {token!r}: {exc}") from None
     return n
 
 
@@ -318,19 +322,17 @@ def invert(D: OrientedGraph, family: VertexFamily) -> OrientedGraph:
     """Invert each set of the family in D.
 
     An arc flips iff its endpoints lie together in an odd number of sets,
-    i.e. iff their characteristic vectors have odd dot product; absent pairs
-    stay absent.  The set order never matters.
+    i.e. iff their characteristic vectors have odd dot product: iff their
+    entry of the family's gram matrix is 1.  The set order never matters.
     """
     if family.n != D.n:
         raise ValueError(f"family on {family.n} vertices applied to graph on {D.n}")
-    chi = family.char_vectors()
-    out = []
-    for i, ci in enumerate(chi):
-        flips = 0
-        for j, cj in enumerate(chi):
-            flips |= ((ci & cj).bit_count() & 1) << j
-        out.append(D.out[i] ^ (flips & D.adj[i]))
-    return _make(D.n, out, D.adj)
+    return _flip(D, gram(MatGF2(D.n, family.m, family.char_vectors())).rows)
+
+
+def _flip(D: OrientedGraph, rows: Sequence[int]) -> OrientedGraph:
+    """D with arc ij reversed iff bit j of the symmetric rows[i] is 1 (absent pairs stay absent)."""
+    return _make(D.n, [o ^ (r & a) for o, r, a in zip(D.out, rows, D.adj)], D.adj)
 
 
 def reverse(D: OrientedGraph) -> OrientedGraph:

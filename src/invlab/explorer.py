@@ -633,8 +633,9 @@ def verify_dijoin_theorems(
     than _THEOREMS_EXHAUSTIVE_N_MAX vertices would run for hours, and is
     refused with UsageError.
     """
-    _refuse_below(0, max_total=max_total, triple_total=triple_total, node_limit=node_limit)
+    _refuse_below(0, triple_total=triple_total, node_limit=node_limit)
     _refuse_below(1, max_each=max_each)
+    _refuse_below(2, max_total=max_total)  # the smallest pair
     _refuse_past_canonical(max_each=max_each)
     if max_total is None and max_each is None:
         max_each = 3
@@ -699,8 +700,9 @@ def _pair_questions(scope: dict, rank_pass: bool):
 
 def _pair_scan(scan: str, rank_pass: bool, fold, n1, n2, max_total, node_limit, workers):
     """Run the pair scan of these parameters (see _pair_questions) and fold its rows."""
-    _refuse_below(0, max_total=max_total, node_limit=node_limit)
+    _refuse_below(0, node_limit=node_limit)
     _refuse_below(1, n1=n1, n2=n2)
+    _refuse_below(2, max_total=max_total)  # the smallest pair
     _refuse_past_canonical(n1=n1, n2=n2)
     scope = {"scan": scan, "n1": n1, "n2": n2, "max_total": max_total, "node_limit": node_limit}
     return _scan(scope, lambda: _pair_questions(scope, rank_pass), workers, fold)

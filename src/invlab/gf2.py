@@ -3,6 +3,12 @@
 Matrices are bit-packed: row r is a Python int whose bit c is the entry
 (r, c), so row operations are single XORs.  Everything here is a pure
 function over immutable values.
+
+Row elimination has one home, the reduced basis of `_reduce`: `rank` counts
+it, `full_rank_principal` keeps the rows it accepts, and `_solve` (behind
+`inverse_full_rank` and `schur_update`) reduces [A | R] with it.
+`factor_symmetric` runs its own congruence elimination, because the rank-1
+and hyperbolic pieces it peels off are not a row basis.
 """
 
 from __future__ import annotations
@@ -156,11 +162,33 @@ Matrix = Union[MatGF2, SymMatGF2]
 
 
 def rank(M: Matrix) -> int:
-    """Rank over GF(2): the number of rows an echelon basis accepts."""
-    echelon: list[int] = []
-    for r in M.rows:
-        _echelon_insert(echelon, r)
-    return len(echelon)
+    """Rank over GF(2): the number of rows the reduced basis of _reduce accepts."""
+    return len(_reduce(M.rows)[0])
+
+
+def _reduce(rows: Iterable[int], mask: int = -1) -> tuple[list[int], dict[int, int]]:
+    """The indices of the rows independent inside mask of the rows before them, and their basis.
+
+    The basis maps each row's pivot, its highest bit inside mask, to the row,
+    and no other row has that bit: a row reduces by the row of each pivot it
+    holds, in any order, and a remainder with a bit inside mask joins the
+    basis once its pivot is cleared from the other rows.
+    """
+    kept: list[int] = []
+    basis: dict[int, int] = {}
+    for i, vec in enumerate(rows):
+        for bit, row in basis.items():
+            if vec & bit:
+                vec ^= row
+        low = vec & mask
+        if low:
+            pivot = 1 << (low.bit_length() - 1)
+            for bit, row in basis.items():
+                if row & pivot:
+                    basis[bit] = row ^ vec
+            basis[pivot] = vec
+            kept.append(i)
+    return kept, basis
 
 
 def gram(X: MatGF2) -> SymMatGF2:
@@ -208,12 +236,7 @@ def factor_symmetric(A: SymMatGF2) -> MatGF2:
         )
         u, w = work[i], work[j]
         for r in range(n):
-            delta = 0
-            if (u >> r) & 1:
-                delta ^= w
-            if (w >> r) & 1:
-                delta ^= u
-            work[r] ^= delta
+            work[r] ^= (w if (u >> r) & 1 else 0) ^ (u if (w >> r) & 1 else 0)
         hblocks.append((u, w))
 
     if hblocks and not singles:
@@ -225,11 +248,8 @@ def factor_symmetric(A: SymMatGF2) -> MatGF2:
         u, w = hblocks.pop(0)
         singles.extend([u ^ c, u ^ w ^ c, w ^ c])
 
-    width = len(singles)
-    xrows = [
-        sum(((singles[c] >> v) & 1) << c for c in range(width)) for v in range(n)
-    ]
-    return MatGF2(n, width, xrows)
+    # X has column c = singles[c]
+    return MatGF2(len(singles), n, singles).transpose()
 
 
 def full_rank_principal(A: SymMatGF2) -> tuple[int, ...]:
@@ -239,39 +259,16 @@ def full_rank_principal(A: SymMatGF2) -> tuple[int, ...]:
     index order: if rows S span the row space of a symmetric A, then
     A = A[:, S] Q gives A[S, :] = A[S, S] Q, so A[S, S] has rank |S|.
     """
-    echelon: list[int] = []
-    return tuple(i for i, r in enumerate(A.rows) if _echelon_insert(echelon, r))
-
-
-def _echelon_insert(echelon: list[int], vec: int) -> bool:
-    """Insert vec into an echelon basis in place; False if already dependent.
-
-    The basis rows are kept sorted by leading bit, descending.
-    """
-    for e in echelon:
-        if vec & (1 << (e.bit_length() - 1)):
-            vec ^= e
-    if vec == 0:
-        return False
-    echelon.append(vec)
-    echelon.sort(key=int.bit_length, reverse=True)
-    return True
+    return tuple(_reduce(A.rows)[0])
 
 
 def _solve(A: SymMatGF2, rhs: Iterable[int]) -> list[int]:
-    """Rows of A^{-1} R for a full-rank A and the rows of R (Gauss-Jordan on [A | R])."""
+    """Rows of A^{-1} R: inside A's n columns, _reduce takes [A | R] to [I | A^{-1} R]."""
     n = A.n
-    work = [a | (r << n) for a, r in zip(A.rows, rhs)]
-    for c in range(n):
-        bit = 1 << c
-        piv = next((i for i in range(c, n) if work[i] & bit), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        work[c], work[piv] = work[piv], work[c]
-        for i in range(n):
-            if i != c and work[i] & bit:
-                work[i] ^= work[c]
-    return [r >> n for r in work]
+    kept, basis = _reduce([a | (r << n) for a, r in zip(A.rows, rhs)], (1 << n) - 1)
+    if len(kept) < n:
+        raise ValueError("matrix is singular")
+    return [basis[1 << c] >> n for c in range(n)]
 
 
 def inverse_full_rank(A: SymMatGF2) -> SymMatGF2:

@@ -112,6 +112,23 @@ def test_families_with_equal_gram_invert_identically():
         assert invert(T, fam) == invert(T, twin)
 
 
+def test_invert_and_apply_matrix_flip_alike():
+    # a family and its gram matrix flip the same arcs, so check_trichotomy's
+    # family and matrix certificates share one order
+    import random
+
+    from invlab import invert
+
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randrange(0, 11)
+        T = Tournament(n, rng.randrange(1 << (n * (n - 1) // 2)))
+        fam = VertexFamily.from_sets(
+            n, [[v for v in range(n) if rng.random() < 0.5] for _ in range(rng.randrange(6))]
+        )
+        assert invert(T, fam) == apply_matrix(T, family_to_matrix(fam))
+
+
 def test_family_certificate_replay():
     fam = VertexFamily.from_sets(3, [[0, 1]])
     cert = family_certificate(C3, fam)

@@ -229,9 +229,13 @@ def test_scopes_past_the_enumerated_classes_are_refused_before_they_start(
     (lambda: scan_tmr_additivity(-1, 3), "n1"),
     (lambda: scan_inv_lower_bound(n1=2, n2=-4), "n2"),
     (lambda: scan_tmr_additivity(max_total=-1), "max_total"),
+    (lambda: scan_tmr_additivity(max_total=1), "max_total"),
+    (lambda: scan_inv_lower_bound(max_total=0), "max_total"),
     (lambda: scan_inv_lower_bound(node_limit=-5), "node_limit"),
     (lambda: verify_dijoin_theorems(max_each=-2), "max_each"),
     (lambda: verify_dijoin_theorems(max_total=-3, node_limit=10), "max_total"),
+    (lambda: verify_dijoin_theorems(max_total=0), "max_total"),
+    (lambda: verify_dijoin_theorems(max_each=2, max_total=1, triple_total=2), "max_total"),
     (lambda: verify_dijoin_theorems(max_total=4, triple_total=-1), "triple_total"),
     (lambda: verify_dijoin_theorems(node_limit=-1), "node_limit"),
     (lambda: scan_schur_3x3(n2_max=-1), "n2_max"),
@@ -241,10 +245,11 @@ def test_scopes_past_the_enumerated_classes_are_refused_before_they_start(
 ])
 def test_negative_scope_counts_are_refused_before_the_scan_starts(monkeypatch, call, refused):
     # a negative count would run as an empty scan that reports no violations;
-    # so would a size cap of 0, so the size caps must be >= 1
-    low = 1 if refused in ("n1", "n2", "n2_max", "max_each") else 0
+    # so would a size cap of 0, so the size caps must be >= 1, and a max_total
+    # below the smallest pair's 2 vertices, so max_total must be >= 2
+    low = {"n1": 1, "n2": 1, "n2_max": 1, "max_each": 1, "max_total": 2}.get(refused, 0)
     monkeypatch.setattr(explorer, "_scan", lambda *args: pytest.fail("the scan started"))
-    with pytest.raises(UsageError, match=f"^{refused} must be >= {low}, got -") as info:
+    with pytest.raises(UsageError, match=f"^{refused} must be >= {low}, got ") as info:
         call()
     assert info.value.param == refused
 

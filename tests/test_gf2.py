@@ -168,6 +168,17 @@ def test_inverse_random_and_singular():
         assert SymMatGF2(n, inv.rows) == inv  # the validating constructor accepts it
 
 
+def test_inverse_exhaustive_n_le_4():
+    for n in range(5):
+        for rows in all_symmetric_matrices(n):
+            A = SymMatGF2.from_rows(rows)
+            if rank(A) == n:
+                assert mat_mul(_square(A), _square(inverse_full_rank(A))) == MatGF2.identity(n)
+            else:
+                with pytest.raises(ValueError, match="singular"):
+                    inverse_full_rank(A)
+
+
 def test_schur_update_examples():
     Ap = SymMatGF2.identity(2)
     B = SymMatGF2.from_rows([[1, 0], [0, 1]])
