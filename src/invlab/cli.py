@@ -130,6 +130,11 @@ def _option(flag: str) -> str:
     return "--" + flag.replace("_", "-")
 
 
+def _spell(param: str) -> str:
+    """The flag that sets a library parameter, or the parameter if no flag does."""
+    return _option(_FLAG_OF[param]) if param in _FLAG_OF else param
+
+
 def _cmd_scan(args, out) -> int:
     reads = _SCAN_FLAGS[args.scan]
     params = {}
@@ -226,11 +231,16 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args, out)
-    except (UsageError, OSError) as exc:
+    except UsageError as exc:
         # counts parse as plain ints, so the library's range checks are the only ones;
         # any other exception is a fault, and propagates with its traceback
-        flag = _FLAG_OF.get(getattr(exc, "param", None))
-        print(f"error: argument {_option(flag)}: {exc}" if flag else f"error: {exc}", file=out)
+        text = exc.spelled(_spell)
+        if exc.param in _FLAG_OF:
+            text = f"argument {_spell(exc.param)}: {text}"
+        print(f"error: {text}", file=out)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: {exc}", file=out)
         return EXIT_USAGE
     except Inconclusive as exc:
         print(f"inconclusive: {exc}", file=out)

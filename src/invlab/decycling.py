@@ -9,8 +9,7 @@ factorization takes a matrix back to a family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .digraph import (
     OrientedGraph,
@@ -27,8 +26,7 @@ from .gf2 import MatGF2, SymMatGF2, factor_symmetric, gram, rank
 CERTIFICATE_SCHEMA = "invlab.certificate/1"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Witness that a claimed inv or tmr value is attained.
 
     kind "family" carries a VertexFamily with value = number of sets;

@@ -17,9 +17,8 @@ Values are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .gf2 import MatGF2, gram
 
@@ -27,11 +26,28 @@ MAX_VERTICES = 64  # a vertex subset always fits one machine word
 
 
 class UsageError(ValueError):
-    """Malformed input or a refused scope; `param` names the refused parameter, if one is."""
+    """Malformed input or a refused scope.
 
-    def __init__(self, message: str, param: str | None = None):
-        super().__init__(message)
-        self.param = param
+    `params` are the parameters the message names, the refused one (`param`)
+    first.  Where the message writes one as {name}, str() reads its name and
+    `spelled` reads what a front end calls it, such as the flag that sets it.
+    """
+
+    def __init__(self, message: str, *params: str):
+        self.message = message
+        self.params = params
+        super().__init__(self.spelled(lambda param: param))
+
+    @property
+    def param(self) -> str | None:
+        return self.params[0] if self.params else None
+
+    def spelled(self, spell: Callable[[str], str]) -> str:
+        """The message with each {param} in it written as spell(param)."""
+        text = self.message
+        for param in self.params:
+            text = text.replace("{" + param + "}", spell(param))
+        return text
 
 
 class ParseError(UsageError):
@@ -159,22 +175,40 @@ def _make(n: int, out: Iterable[int], adj: Sequence[int] | None = None) -> Orien
     return g
 
 
-@dataclass(frozen=True)
-class VertexFamily:
+class _CheckedRecord:
+    """Base of a NamedTuple record whose __new__ checks its fields.
+
+    _replace builds through _make, and unpickling through __new__, so every
+    way of making the record runs the check.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class _VertexFamilyFields(NamedTuple):
+    n: int
+    sets: tuple[frozenset[int], ...]
+
+
+class VertexFamily(_CheckedRecord, _VertexFamilyFields):
     """Ordered list of vertex subsets X_1..X_m; empty sets are permitted.
 
     The characteristic vector of vertex v is the m-bit word whose bit i is
     set iff v is in sets[i].
     """
 
-    n: int
-    sets: tuple[frozenset[int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_vertex_count(self.n)
-        for idx, s in enumerate(self.sets):
-            if not all(0 <= v < self.n for v in s):
-                raise ValueError(f"set {idx} has a vertex outside 0..{self.n - 1}")
+    def __new__(cls, n: int, sets: tuple[frozenset[int], ...]):
+        _check_vertex_count(n)
+        for idx, s in enumerate(sets):
+            if not all(0 <= v < n for v in s):
+                raise ValueError(f"set {idx} has a vertex outside 0..{n - 1}")
+        return tuple.__new__(cls, (n, sets))
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "VertexFamily":

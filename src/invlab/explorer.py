@@ -61,7 +61,6 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -216,15 +215,18 @@ def _class_encodings(n: int) -> list[str]:
 # scan reports
 
 
-@dataclass
 class ScanReport:
     """Outcome of a verification or conjecture run; replayable from `scope`."""
 
-    scope: dict
-    instances_checked: int = 0
-    violations: list = field(default_factory=list)
-    evidence: dict = field(default_factory=dict)
-    elapsed: float = 0.0
+    __slots__ = ("scope", "instances_checked", "violations", "evidence", "elapsed")
+
+    def __init__(self, scope: dict, instances_checked: int = 0, violations: Optional[list] = None,
+                 evidence: Optional[dict] = None, elapsed: float = 0.0):
+        self.scope = scope
+        self.instances_checked = instances_checked
+        self.violations = [] if violations is None else violations
+        self.evidence = {} if evidence is None else evidence
+        self.elapsed = elapsed
 
     @property
     def inconclusive(self) -> list:
@@ -642,20 +644,18 @@ def verify_dijoin_theorems(
     if triple_total is None:
         triple_total = max_total if max_total is not None else 3 * max_each
 
-    def largest(count: int, total: Optional[int]) -> int:
-        each = count * (max_each if max_each is not None else total)
-        return each if total is None else min(each, total)
-
-    n = max(largest(2, max_total), largest(3, triple_total))
-    if node_limit is None and n > _THEOREMS_EXHAUSTIVE_N_MAX:
-        raise UsageError(
-            f"an unbudgeted verify-theorems scope joins up to {n} vertices and would run"
-            f" for hours; use --max-n {_THEOREMS_EXHAUSTIVE_N_MAX // 3} or less, or cap"
-            f" each join question's search with --node-limit",
-            "max_total" if max_each is None else "max_each",
-        )
-    if max_each is None:
+    if max_each is None:  # the totals bound every operand, and so every join
         _refuse_past_canonical(max_total=max_total, triple_total=triple_total)
+    elif node_limit is None:
+        pair = 2 * max_each if max_total is None else min(2 * max_each, max_total)
+        n = max(pair, min(3 * max_each, triple_total))
+        if n > _THEOREMS_EXHAUSTIVE_N_MAX:
+            raise UsageError(
+                f"an unbudgeted verify-theorems scope joins up to {n} vertices and would run"
+                f" for hours; use {{max_each}} {_THEOREMS_EXHAUSTIVE_N_MAX // 3} or less, or"
+                " cap each join question's search with {node_limit}",
+                "max_each", "node_limit",
+            )
     scope = {
         "scan": "dijoin-theorems",
         "max_total": max_total,
@@ -973,10 +973,10 @@ def scan_schur_3x3(
     _refuse_past_canonical(n2_max=n2_max)
     if samples is None and n2_max > _SCHUR_EXHAUSTIVE_N2_MAX:
         raise UsageError(
-            f"an exhaustive scan schur-3x3 at --n2 {n2_max} enumerates (3 + n2)! * 8"
-            f" matrices per pair and would run for hours; use --n2"
-            f" {_SCHUR_EXHAUSTIVE_N2_MAX} or less, or sample each pair with --budget",
-            "n2_max",
+            f"an exhaustive scan schur-3x3 at {{n2_max}} {n2_max} enumerates (3 + n2)! * 8"
+            f" matrices per pair and would run for hours; use {{n2_max}}"
+            f" {_SCHUR_EXHAUSTIVE_N2_MAX} or less, or sample each pair with {{samples}}",
+            "n2_max", "samples",
         )
     scope = {
         "scan": "schur-3x3",

@@ -70,7 +70,6 @@ process; scans parallelise across instances instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
@@ -85,23 +84,28 @@ from .digraph import (
     OrientedGraph,
     Tournament,
     VertexFamily,
+    _CheckedRecord,
     _refuse_below,
     _relabel,
 )
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class _SearchBudgetFields(NamedTuple):
+    node_limit: Optional[int] = None
+
+
+class SearchBudget(_CheckedRecord, _SearchBudgetFields):
     """Limits for the exact search.
 
     Exceeding node_limit aborts with an explicit Inconclusive carrying the
     lower bound proved so far, never a wrong value.
     """
 
-    node_limit: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        _refuse_below(0, node_limit=self.node_limit)
+    def __new__(cls, node_limit: Optional[int] = None):
+        _refuse_below(0, node_limit=node_limit)
+        return tuple.__new__(cls, (node_limit,))
 
 
 class Inconclusive(Exception):
@@ -430,8 +434,7 @@ def solve_tmr(T: Tournament, budget: Optional[SearchBudget] = None) -> TmrResult
     return TmrResult(rep.tmr, rep.tmr_certificate, rep.min_rank_nonzero_diag)
 
 
-@dataclass(frozen=True)
-class TrichotomyReport:
+class TrichotomyReport(NamedTuple):
     """All facts needed to audit inv/tmr agreement on one tournament."""
 
     inv: int

@@ -194,7 +194,7 @@ def test_exhaustive_schur_scope_past_n2_5_is_refused():
     for n2 in ("6", "8"):
         code, text = run_cli("scan", "schur-3x3", "--n2", n2)
         assert code == 2 and "--n2" in text and "--budget" in text, text
-    with pytest.raises(ValueError, match="--budget"):
+    with pytest.raises(ValueError, match="use n2_max 5 or less, or sample each pair with samples"):
         run_scan("schur-3x3", n2_max=6)
     code, text = run_cli("scan", "schur-3x3", "--n2", "6", "--budget", "1", "--json")
     assert code == 0 and json.loads(text)["scope"]["n2_max"] == 6
@@ -205,9 +205,10 @@ def test_unbudgeted_theorem_scope_past_14_vertices_is_refused(monkeypatch):
     # without a node limit; with one the same scope runs
     code, text = run_cli("verify-theorems", "--max-n", "5")
     assert code == 2 and "--max-n" in text and "--node-limit" in text, text
-    with pytest.raises(ValueError, match="--node-limit"):
+    with pytest.raises(ValueError, match="use max_each 4 or less, .* with node_limit"):
         run_scan("dijoin-theorems", max_each=5)
-    with pytest.raises(ValueError, match="--node-limit"):
+    # without max_each the totals bound each operand, by MAX_CANONICAL_N = 8
+    with pytest.raises(ValueError, match="^max_total = 15 exceeds MAX_CANONICAL_N"):
         run_scan("dijoin-theorems", max_total=15)
     code, text = run_cli("verify-theorems", "--max-n", "5", "--node-limit", "1", "--json")
     assert code == 3 and json.loads(text)["scope"]["triple_total"] == 15
@@ -504,6 +505,20 @@ def test_importing_the_cli_loads_no_process_pool():
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]", code
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # the records are NamedTuples and ScanReport a __slots__ class: dataclasses
+    # would bring inspect, ast, dis and tokenize into every process's start-up.
+    # -S keeps site and what its .pth files import out of the count
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import invlab, invlab.cli; "
+            "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_a_one_worker_scan_loads_no_pickle():

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import pickle
@@ -137,14 +136,14 @@ def test_trichotomy_holds_reads_the_diagonal_condition_both_ways():
     assert (r.gap, r.transitive, r.min_rank_nonzero_diag) == (0, False, True)
     # gap 0 on a non-transitive tournament needs a minimum-rank matrix with a
     # nonzero diagonal, and gap 1 needs an even tmr and none
-    assert not dataclasses.replace(r, min_rank_nonzero_diag=False).holds
-    assert not dataclasses.replace(r, inv=2).holds
-    assert not dataclasses.replace(r, inv=3, tmr=2).holds
-    assert dataclasses.replace(r, inv=3, tmr=2, min_rank_nonzero_diag=False).holds
-    assert not dataclasses.replace(r, inv=3).holds
+    assert not r._replace(min_rank_nonzero_diag=False).holds
+    assert not r._replace(inv=2).holds
+    assert not r._replace(inv=3, tmr=2).holds
+    assert r._replace(inv=3, tmr=2, min_rank_nonzero_diag=False).holds
+    assert not r._replace(inv=3).holds
     # a transitive tournament is exempt from the diagonal condition
     t = check_trichotomy(decode("3:111"))
-    assert t.holds and dataclasses.replace(t, min_rank_nonzero_diag=True).holds
+    assert t.holds and t._replace(min_rank_nonzero_diag=True).holds
 
 
 def test_check_trichotomy_matches_solve_inv_on_classes_n_le_7():
@@ -267,6 +266,36 @@ def test_solve_tmr_against_brute_force_enumeration():
 def test_budget_validation():
     with pytest.raises(UsageError, match="^node_limit must be >= 0, got -1$"):
         SearchBudget(node_limit=-1)
+
+
+def test_records_are_frozen_value_tuples_checked_however_they_are_made():
+    family = VertexFamily.from_sets(3, [[1, 2], [0]])
+    report = check_trichotomy(C3)
+    records = [SearchBudget(5), family, report.inv_certificate, report.tmr_certificate, report]
+    for record in records:
+        for name in (record._fields[0], "note"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
+        # results cross the worker pipes pickled
+        again = pickle.loads(pickle.dumps(record))
+        assert type(again) is type(record) and again == record and hash(again) == hash(record)
+    # equal fields make equal records, whichever object carries them
+    assert VertexFamily.from_sets(3, [[2, 1], [0]]) == family
+    assert hash(VertexFamily.from_sets(3, [[2, 1], [0]])) == hash(family)
+    assert check_trichotomy(decode("3:101")) == report
+    assert SearchBudget(5) == SearchBudget(node_limit=5) != SearchBudget(6)
+    # the checks run in the constructor, in _replace and on unpickling
+    forged_budget = pickle.dumps(tuple.__new__(SearchBudget, (-1,)))
+    for make in (lambda: SearchBudget(-1), lambda: SearchBudget(5)._replace(node_limit=-1),
+                 lambda: pickle.loads(forged_budget)):
+        with pytest.raises(UsageError, match="^node_limit must be >= 0, got -1$"):
+            make()
+    outside = (frozenset({0, 3}),)
+    forged_family = pickle.dumps(tuple.__new__(VertexFamily, (3, outside)))
+    for make in (lambda: VertexFamily(3, outside), lambda: family._replace(sets=outside),
+                 lambda: pickle.loads(forged_family)):
+        with pytest.raises(ValueError, match="vertex outside 0..2"):
+            make()
 
 
 # sha256 of the certificate JSON rows "encoding kind json" of both
