@@ -13,7 +13,6 @@ from invlab import (
     rank,
     schur_update,
 )
-from invlab.gf2 import block_matrix
 
 # A vertex family is, per vertex, a 0/1 membership row; its gram matrix
 # (pairwise dot products mod 2) tells which arcs the family flips.
@@ -45,7 +44,7 @@ Ap = SymMatGF2.identity(2)
 C = MatGF2.from_rows([[1], [1]])
 B = SymMatGF2.zeros(1)
 Bp = schur_update(Ap, C, B)
-full = block_matrix(Ap, C, B)
+full = SymMatGF2.from_rows([[1, 0, 1], [0, 1, 1], [1, 1, 0]])  # [[A', C], [C^T, B]]
 print("B' =", Bp.to_lists())
 print("rank check:", rank(full), "==", rank(Ap), "+", rank(Bp))
 print("inverse of [[1,1],[1,0]]:", inverse_full_rank(SymMatGF2.from_rows([[1, 1], [1, 0]])).to_lists())

@@ -4,12 +4,13 @@ Run:  python demos/04_theorem_checks.py
 """
 
 from invlab import (
-    block_diag_certificate,
+    check_trichotomy,
     compose_dijoin_family,
     decode,
     dijoin,
     extend_to_tournament,
     encode,
+    family_to_matrix,
     is_decycling_family,
     is_decycling_matrix,
     rank,
@@ -29,10 +30,21 @@ j = dijoin(c3, c3)
 print("composed family:", fam.to_lists())
 print("decycles the dijoin:", is_decycling_family(j, fam), "| solver agrees:", solve_inv(j).value == fam.m)
 
-# Minimum-rank matrices stack block-diagonally, so tmr is subadditive.
-A = solve_tmr(c3).certificate.payload
-M = block_diag_certificate(c3, A, c3, A)
-print("block matrix rank:", rank(M), "decycles:", is_decycling_matrix(j, M))
+# The composed family's gram matrix is block diagonal, one minimum-rank
+# block per operand, so it witnesses tmr(D1 -> D2) <= tmr(D1) + tmr(D2).
+M = family_to_matrix(fam)
+print("its gram matrix: rank", rank(M), "== 2 * tmr(C3) =", 2 * solve_tmr(c3).value,
+      "| decycles:", is_decycling_matrix(j, M))
+
+# With D2 a gap class (inv = tmr + 1, here 3 = 2 + 1), D2's family merges
+# into a set of D1's and the dijoin needs one inversion fewer than
+# inv(D1) + inv(D2): inv(D1 -> D2) = inv(D1) + tmr(D2) when inv(D1) = 2.
+d1, gap = decode("5:0001000010"), decode("8:0000011000100010010010101000")
+rep = check_trichotomy(gap)
+fam = compose_dijoin_family(d1, solve_inv(d1).certificate.payload, gap, rep.inv_certificate)
+j = dijoin(d1, gap)
+print("gap operand: inv", rep.inv, "tmr", rep.tmr, "| composed family has", fam.m, "sets,",
+      "decycles:", is_decycling_family(j, fam), "| inv of the dijoin:", solve_inv(j).value)
 
 # Any oriented graph extends to a tournament with the same inversion number.
 four_cycle = decode("4;0>1,1>2,2>3,3>0")

@@ -48,7 +48,6 @@ from .search import (
     verify_certificate,
 )
 from .constructions import (
-    block_diag_certificate,
     compose_dijoin_family,
     extend_to_tournament,
 )

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import xor
+from typing import Sequence
+
 from .decycling import (
     Certificate,
     certificate_error,
     family_certificate,
     is_decycling_family,
-    is_decycling_matrix,
     matrix_to_family,
 )
 from .digraph import (
@@ -17,7 +20,36 @@ from .digraph import (
     invert,
     transitive_tournament,
 )
-from .gf2 import SymMatGF2, rank
+from .gf2 import rank
+
+
+def join_family(families: Sequence[VertexFamily]) -> VertexFamily:
+    """A family that decycles njoin(D_1, ..., D_k), from families F_i that decycle each D_i.
+
+    Each F_i is shifted by the vertices before D_i.  An F_i with an odd
+    number of sets, each vertex in an even number of them (a zero-diagonal
+    gram matrix, as check_trichotomy's minimum family of a gap class has),
+    is merged: the first set X built so far gives way to F_i's sets, each
+    unioned with X.  The merges follow every other F_i, which is appended;
+    when nothing else is nonempty, the first mergeable F_i is appended as it
+    is.  A merge gives each vertex of X an odd number of sets in place of X
+    and each vertex of D_i an even number shared with X, so no dot product
+    changes parity.  The gram matrix is therefore block diagonal with the
+    F_i's grams as blocks: no cross arc flips, and cross arcs run forward in
+    join order, so the family decycles the join whenever each F_i decycles
+    D_i, and its gram rank is the sum of theirs.
+    """
+    n, built, merged = 0, [], []
+    for f in families:
+        sets = [frozenset(v + n for v in s) for s in f.sets]
+        n += f.n
+        if f.m % 2 and not reduce(xor, f.sets):
+            merged.append(sets)
+        else:
+            built += sets
+    for sets in merged:
+        built = [s | built[0] for s in sets] + built[1:] if built else sets
+    return VertexFamily(n, tuple(built))
 
 
 def compose_dijoin_family(
@@ -26,17 +58,13 @@ def compose_dijoin_family(
     D2: OrientedGraph,
     cert2: Certificate,
 ) -> VertexFamily:
-    """Decycling family for dijoin(D1, D2) with len(family1) + rank sets.
+    """join_family of family1 and cert2's family: a decycling family for dijoin(D1, D2).
 
-    family1 must decycle D1 (say with L sets).  cert2 supplies either a
-    family for D2 (then the result simply concatenates, shifted) or a
-    zero-diagonal decycling matrix B of even rank k for D2, in which case B
-    factors into k+1 characteristic vectors y with 1.y = y.y = 0 and the
-    combined family is
-
-        Y_1 u X_1, ..., Y_{k+1} u X_1, X_2, ..., X_L.
-
-    With a minimum-rank cert2 the result witnesses
+    family1 must decycle D1.  cert2 supplies either a family for D2 or a
+    nonzero zero-diagonal decycling matrix B of D2, whose rank k is then
+    even; B factors into k+1 characteristic vectors y with 1.y = y.y = 0
+    (matrix_to_family), which join_family merges into family1's first set.
+    With a minimum family1 and a minimum-rank B the result witnesses
     inv(dijoin) <= inv(D1) + tmr(D2).
     """
     if not is_decycling_family(D1, family1):
@@ -44,40 +72,18 @@ def compose_dijoin_family(
     err = certificate_error(D2, cert2)
     if err is not None:
         raise ValueError(f"second certificate fails its check: {err}")
-    n1 = D1.n
-    n = n1 + D2.n
     if cert2.kind == "family":
-        shifted = [frozenset(v + n1 for v in s) for s in cert2.payload.sets]
-        return VertexFamily(n, tuple(family1.sets) + tuple(shifted))
+        return join_family([family1, cert2.payload])
     B = cert2.payload
     if any(B.diagonal()) or rank(B) == 0:
         raise ValueError(
             "matrix certificate must be a nonzero zero-diagonal decycling matrix"
         )
     if family1.m == 0:
-        # the union layout needs an X_1; with an empty family the bound
+        # the merge needs a set of D1; with an empty family the bound
         # inv(dijoin) <= tmr(D2) would contradict subgraph monotonicity
         raise ValueError("the zero-diagonal case needs a nonempty family for D1")
-    f2 = matrix_to_family(B)  # rank(B) + 1 sets, all characteristic dots even
-    first = family1.sets[0]
-    merged = [frozenset(v + n1 for v in s) | first for s in f2.sets]
-    return VertexFamily(n, tuple(merged) + tuple(family1.sets[1:]))
-
-
-def block_diag_certificate(
-    D1: Tournament, A: SymMatGF2, D2: Tournament, B: SymMatGF2
-) -> SymMatGF2:
-    """Block-diagonal decycling matrix for dijoin(D1, D2).
-
-    Cross arcs stay untouched, so the blocks decycle independently and the
-    rank is rank(A) + rank(B); with minimum-rank inputs this witnesses
-    tmr(dijoin) <= tmr(D1) + tmr(D2).
-    """
-    if not is_decycling_matrix(D1, A):
-        raise ValueError("A is not a decycling matrix for the first operand")
-    if not is_decycling_matrix(D2, B):
-        raise ValueError("B is not a decycling matrix for the second operand")
-    return SymMatGF2.block_diag(A, B)
+    return join_family([family1, matrix_to_family(B)])
 
 
 def extend_to_tournament(D: OrientedGraph, family: VertexFamily) -> Tournament:

@@ -38,20 +38,21 @@ tournament is the n-join of its strong components, so the canonical forms
 of the components of an n-join, in join order, are an exact isomorphism
 key, and each distinct key is one job that searches the n-join of the
 key's own components, whatever instance asked it first.  Its search stops
-at the components' bound: the union of their minimum families decycles
-the join (no cross arc lies on a cycle), so the level of the sum of their
-inv, or of their tmr, is replayed from that union instead of searched.  A
-question's family comes back with its value, and each asker keeps the
-vertex order that carries it onto the asker's labelling (the refinement
-that reaches each component's canonical form records one), so a fold
-that reads the family carries it there and no fold searches again.  A
-node limit applies to each join question's search alone, and a question
-that runs out leaves every instance that asks it inconclusive.  Reversing
-every arc keeps inv and tmr and maps D1 -> D2 to D2^c -> D1^c, so the pair
-scans key a question by the lesser of its key and its converse's.  The
-theorem scan keys plainly: its switch check compares inv(D1 -> D2) with
-inv(D2 -> D1), and with self-converse operands a converse key would answer
-both from one search.
+at the components' bound: join_family (constructions) joins their minimum
+families into one that decycles the join, merging each gap class's family
+(inv = tmr + 1) into a set before it as the paper's dijoin construction
+does, so the level of its size, or of the sum of their tmr (its gram rank),
+is replayed from it instead of searched.  A question's family comes back
+with its value, and each asker keeps the vertex order that carries it
+onto the asker's labelling (the refinement that reaches each component's
+canonical form records one), so a fold that reads the family carries it
+there and no fold searches again.  A node limit applies to each join
+question's search alone, and a question that runs out leaves every
+instance that asks it inconclusive.  Reversing every arc keeps inv and tmr
+and maps D1 -> D2 to D2^c -> D1^c, so the pair scans key a question by
+the lesser of its key and its converse's.  The theorem scan keys plainly:
+its switch check compares inv(D1 -> D2) with inv(D2 -> D1), and with
+self-converse operands a converse key would answer both from one search.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ import time
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional, Sequence
 
+from .constructions import join_family
 from .decycling import (
     family_certificate,
     family_to_matrix,
@@ -477,34 +479,29 @@ def _join_task(args) -> tuple[int, VertexFamily] | str:
     outcome is the key's alone: (tmr with rank_pass else inv, the family
     that witnesses it on the n-join), or why it ran out.
 
-    The union of the components' minimum families, each shifted by the
-    vertices before it, decycles the join, since every cross arc runs
-    forward in join order and so lies on no cycle.  It has as many sets as
-    their inv sum, and its gram matrix is block diagonal of rank their tmr
-    sum, so the level loop stops at that sum and the union is replayed
-    instead of searched.
+    join_family of the components' minimum families decycles the join.  Its
+    gram matrix is block diagonal of rank their tmr sum, and it merges each
+    gap component's family (inv = tmr + 1) into a set before it, one set
+    fewer than their inv sum per merge.  The level loop stops at the tmr
+    sum, or at the family's size for inv, and replays the family instead of
+    searching that level; every level below is searched.
     """
     key, rank_pass, node_limit = args
-    parts = [decode(enc) for enc in key]
     reps = [_trichotomy(enc) for enc in key]
-    J = njoin(parts)
-    sets, shift = [], 0
-    for D, rep in zip(parts, reps):
-        sets += [frozenset(v + shift for v in s) for s in rep.inv_certificate.payload.sets]
-        shift += D.n
-    union = VertexFamily(J.n, tuple(sets))
-    bound = sum(rep.tmr for rep in reps) if rank_pass else union.m
+    J = njoin([decode(enc) for enc in key])
+    joined = join_family([rep.inv_certificate.payload for rep in reps])
+    bound = sum(rep.tmr for rep in reps) if rank_pass else joined.m
     try:
-        k, family = _levels(J, SearchBudget(node_limit=node_limit), rank_pass, (bound, union))
+        k, family = _levels(J, SearchBudget(node_limit=node_limit), rank_pass, (bound, joined))
     except Inconclusive as exc:
         return exc.reason
-    if family is union:
-        # both raise when the union does not decycle J
+    if family is joined:
+        # both raise when the family does not decycle J
         if rank_pass:
-            if matrix_certificate(J, family_to_matrix(union)).value != bound:
-                raise AssertionError("the components' union misses their tmr bound")
+            if matrix_certificate(J, family_to_matrix(joined)).value != bound:
+                raise AssertionError("the components' joined family misses their tmr bound")
         else:
-            family_certificate(J, union)
+            family_certificate(J, joined)
     return k, family
 
 

@@ -294,14 +294,3 @@ def schur_update(A_prime: SymMatGF2, C: MatGF2, B: SymMatGF2) -> SymMatGF2:
             rows[(c & -c).bit_length() - 1] ^= x
             c &= c - 1
     return _trusted_sym(B.n, rows)
-
-
-def block_matrix(A: SymMatGF2, C: MatGF2, B: SymMatGF2) -> SymMatGF2:
-    """Assemble [[A, C], [C^T, B]]."""
-    if C.nrows != A.n or C.ncols != B.n:
-        raise ValueError("block shapes do not fit")
-    r = A.n
-    rows = [A.rows[i] | (C.rows[i] << r) for i in range(r)]
-    Ct = C.transpose()
-    rows += [Ct.rows[i] | (B.rows[i] << r) for i in range(B.n)]
-    return SymMatGF2(r + B.n, rows)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from invlab import MatGF2, OrientedGraph, VertexFamily, invert
+from invlab import MatGF2, OrientedGraph, SymMatGF2, VertexFamily, invert
 
 
 def kernel_count_rank(rows: list[list[int]]) -> int:
@@ -77,6 +77,15 @@ def mat_mul(A: MatGF2, B: MatGF2) -> MatGF2:
         for i in range(A.nrows)
     ]
     return MatGF2.from_rows(rows, B.ncols)
+
+
+def block_matrix(A: SymMatGF2, C: MatGF2, B: SymMatGF2) -> SymMatGF2:
+    """Assemble [[A, C], [C^T, B]], the matrix the Schur update's rank identity reads."""
+    r = A.n
+    rows = [A.rows[i] | (C.rows[i] << r) for i in range(r)]
+    Ct = C.transpose()
+    rows += [Ct.rows[i] | (B.rows[i] << r) for i in range(B.n)]
+    return SymMatGF2(r + B.n, rows)
 
 
 def gram_by_lists(rows: list[list[int]]) -> list[list[int]]:

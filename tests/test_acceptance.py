@@ -32,8 +32,7 @@ from invlab import (
     solve_tmr,
     verify_dijoin_theorems,
 )
-from invlab.gf2 import block_matrix
-from oracles import all_oriented_graphs, all_symmetric_matrices, naive_inv
+from oracles import all_oriented_graphs, all_symmetric_matrices, block_matrix, naive_inv
 
 
 def criterion(number, name):

@@ -4,7 +4,6 @@ from invlab import (
     Certificate,
     SymMatGF2,
     VertexFamily,
-    block_diag_certificate,
     compose_dijoin_family,
     decode,
     dijoin,
@@ -14,6 +13,7 @@ from invlab import (
     is_decycling_family,
     is_decycling_matrix,
     matrix_certificate,
+    matrix_to_family,
     rank,
     solve_inv,
     solve_tmr,
@@ -66,6 +66,20 @@ def test_compose_matrix_case_zero_diagonal():
         assert {0, 1} <= set(s)
 
 
+def test_compose_merges_even_families_of_odd_size_only():
+    # the matrix case's family, given as a family, merges into X_1 the same
+    # way; an even-weight family of even size would flip X_1's own arc if
+    # merged, so it is appended
+    B = SymMatGF2.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    f1 = VertexFamily.from_sets(3, [[0, 1]])
+    merged = compose_dijoin_family(C3, f1, C3, matrix_certificate(C3, B))
+    as_family = family_certificate(C3, matrix_to_family(B))
+    assert compose_dijoin_family(C3, f1, C3, as_family) == merged
+    even = family_certificate(C3, VertexFamily.from_sets(3, [[0], [0, 1], [1], []]))
+    fam = compose_dijoin_family(C3, f1, C3, even)
+    assert fam.m == 5 and is_decycling_family(dijoin(C3, C3), fam)
+
+
 def test_compose_matrix_case_requires_nonempty_first_family():
     B = SymMatGF2.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
     cert2 = matrix_certificate(C3, B)
@@ -96,25 +110,6 @@ def test_compose_exhaustive_pairs_n_le_3():
             assert fam.m == inv1 + tmr2
             assert is_decycling_family(J, fam)
             assert solve_inv(J).value <= fam.m
-
-
-def test_block_diag_examples():
-    A = SymMatGF2.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 0]])
-    M = block_diag_certificate(C3, A, C3, A)
-    assert rank(M) == 2
-    assert is_decycling_matrix(dijoin(C3, C3), M)
-    assert solve_tmr(dijoin(C3, C3)).value == 2
-
-    Z = SymMatGF2.zeros(3)
-    assert block_diag_certificate(T3, Z, T3, Z) == SymMatGF2.zeros(6)
-    M = block_diag_certificate(T3, Z, C3, A)
-    assert rank(M) == 1
-    assert is_decycling_matrix(dijoin(T3, C3), M)
-
-
-def test_block_diag_rejects_non_decycling():
-    with pytest.raises(ValueError):
-        block_diag_certificate(C3, SymMatGF2.zeros(3), C3, SymMatGF2.zeros(3))
 
 
 def test_extend_tournament_is_identity():

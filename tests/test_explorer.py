@@ -25,8 +25,10 @@ from invlab import (
     dijoin,
     encode,
     enumerate_tournaments,
+    family_certificate,
     family_to_matrix,
     njoin,
+    rank,
     replay,
     reverse,
     run_scan,
@@ -407,9 +409,8 @@ def test_inv_bound_pair_task_searches_each_operand_once(monkeypatch):
 
 
 def test_join_task_stops_at_the_operands_bound_on_a_gap_operand(monkeypatch):
-    # D2 has inv 3 and tmr 2, so the two questions have different bounds:
-    # tmr stops at 1 + 2 and returns the replayed union, while inv, bound by
-    # 1 + 3, finds its value 3 below the bound through the search
+    # D2 is a gap class (inv 3, tmr 2): its family merges into C3's set, so
+    # both questions stop at 1 + 2 and return the replayed joined family
     gap = "10:010100000111011100001001111110010000111110100"
     returned = []
     real = explorer._levels
@@ -423,7 +424,43 @@ def test_join_task_stops_at_the_operands_bound_on_a_gap_operand(monkeypatch):
     key, _ = explorer._component_key(dijoin(C3, decode(gap)))
     for rank_pass in (True, False):
         assert explorer._join_task((key, rank_pass, None))[0] == 3
-    assert returned == [(True, 3, 3, True), (False, 4, 3, False)]
+    assert returned == [(True, 3, 3, True), (False, 3, 3, True)]
+
+
+INV2_N5 = ("5:0001000010", "5:0001010000", "5:0011001000")  # every n=5 class with inv 2
+GAPS_N8 = (  # n=8 classes with inv = tmr + 1 = 3
+    "8:0000001000010001000011000110",
+    "8:0000011000100010010010101000",
+    "8:0000011000001001000010001111",
+    "8:0000011000101000100101010010",
+)
+
+
+def test_a_gap_join_is_bounded_by_the_papers_construction():
+    # inv(D1 -> D2) = inv(D1) + tmr(D2) when inv(D1) = 2, one less than
+    # inv(D1) + inv(D2) for a gap class D2, in both orders.  The joined family
+    # has that many sets and replays, so the bound's level is not searched:
+    # each question here takes at most 10,239 nodes, under a 12,000 limit,
+    # where the union of the operands' families (5 sets) took 37,314-183,864
+    def replayed(key, rank_pass):
+        got = explorer._join_task((key, rank_pass, 12_000))
+        assert not isinstance(got, str), got
+        k, family = got
+        J = njoin([decode(e) for e in key])
+        assert family_certificate(J, family).value == family.m
+        assert rank(family_to_matrix(family)) == sum(explorer._trichotomy(e).tmr for e in key)
+        return k, family.m
+
+    for d1, gap in itertools.product(INV2_N5, GAPS_N8):
+        tmr = check_trichotomy(decode(gap)).tmr
+        for D in (dijoin(decode(d1), decode(gap)), dijoin(decode(gap), decode(d1))):
+            key, _ = explorer._component_key(D)
+            assert replayed(key, False) == (tmr + 2, tmr + 2)
+    # two gap components: the first family is appended as it is and the
+    # second merges into its first set, 3 + 3 - 1 sets of gram rank 2 + 2
+    gap = GAPS_N8[1]
+    key, _ = explorer._component_key(njoin([decode(gap), decode("1:"), decode(gap)]))
+    assert replayed(key, True) == (4, 5)
 
 
 def test_join_key_is_exact_for_tournaments():

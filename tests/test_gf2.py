@@ -13,8 +13,13 @@ from invlab import (
     rank,
     schur_update,
 )
-from invlab.gf2 import block_matrix
-from oracles import all_symmetric_matrices, gram_by_lists, kernel_count_rank, mat_mul
+from oracles import (
+    all_symmetric_matrices,
+    block_matrix,
+    gram_by_lists,
+    kernel_count_rank,
+    mat_mul,
+)
 
 
 def test_rank_examples():
