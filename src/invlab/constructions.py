@@ -65,7 +65,11 @@ def compose_dijoin_family(
     even; B factors into k+1 characteristic vectors y with 1.y = y.y = 0
     (matrix_to_family), which join_family merges into family1's first set.
     With a minimum family1 and a minimum-rank B the result witnesses
-    inv(dijoin) <= inv(D1) + tmr(D2).
+    inv(dijoin) <= inv(D1) + tmr(D2).  On a gap class D2 (inv(D2) =
+    tmr(D2) + 1) with a nonempty family1, check_trichotomy(D2).inv_certificate
+    and solve_tmr(D2).certificate both reach that bound (the first on every
+    D2), while solve_inv(D2).certificate can give inv(D1) + inv(D2), one
+    more: its minimum family need not be the all-even kind that merges.
     """
     if not is_decycling_family(D1, family1):
         raise ValueError("family1 does not decycle the first operand")

@@ -1,8 +1,10 @@
 """Linear algebra over the two-element field.
 
 Matrices are bit-packed: row r is a Python int whose bit c is the entry
-(r, c), so row operations are single XORs.  Everything here is a pure
-function over immutable values.
+(r, c), so row operations are single XORs.  There is one matrix type,
+`MatGF2`: a symmetric matrix is a `SymMatGF2`, a square MatGF2 whose
+constructor checks its symmetry.  Everything here is a pure function over
+immutable values.
 
 Row elimination has one home, the reduced basis of `_reduce`: `rank` counts
 it, `full_rank_principal` keeps the rows it accepts, and `_solve` (behind
@@ -13,7 +15,7 @@ and hyperbolic pieces it peels off are not a row basis.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Iterable
 
 
 class MatGF2:
@@ -72,27 +74,22 @@ class MatGF2:
         return hash((self.nrows, self.ncols, self.rows))
 
     def __repr__(self):
-        return f"MatGF2({self.to_lists()!r})"
+        return f"{type(self).__name__}({self.to_lists()!r})"
 
 
-class SymMatGF2:
-    """Symmetric bit matrix; the diagonal is unconstrained."""
+class SymMatGF2(MatGF2):
+    """Square MatGF2 that is symmetric; the diagonal is unconstrained."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, rows: Iterable[int]):
-        rows = tuple(rows)
-        if n < 0 or len(rows) != n:
-            raise ValueError("dimension mismatch")
-        mask = (1 << n) - 1
-        if any(r & ~mask for r in rows):
-            raise ValueError("row wider than n")
+        MatGF2.__init__(self, n, n, rows)
+        rows = self.rows
         for i in range(n):
             for j in range(i + 1, n):
                 if ((rows[i] >> j) & 1) != ((rows[j] >> i) & 1):
                     raise ValueError(f"matrix not symmetric at ({i},{j})")
         self.n = n
-        self.rows = rows
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "SymMatGF2":
@@ -111,9 +108,6 @@ class SymMatGF2:
     def block_diag(cls, A: "SymMatGF2", B: "SymMatGF2") -> "SymMatGF2":
         return _trusted_sym(A.n + B.n, A.rows + tuple(r << A.n for r in B.rows))
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
     def diagonal(self) -> tuple[int, ...]:
         return tuple((self.rows[i] >> i) & 1 for i in range(self.n))
 
@@ -129,18 +123,6 @@ class SymMatGF2:
             rows.append(row)
         return _trusted_sym(len(idx), rows)
 
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.n)] for r in self.rows]
-
-    def __eq__(self, other):
-        return isinstance(other, SymMatGF2) and (self.n, self.rows) == (other.n, other.rows)
-
-    def __hash__(self):
-        return hash((self.n, self.rows))
-
-    def __repr__(self):
-        return f"SymMatGF2({self.to_lists()!r})"
-
 
 def _packed(rows: list[list[int]], width: int) -> list[int]:
     """0/1 rows of `width` entries as ints with entry c at bit c; ValueError names a ragged row."""
@@ -153,15 +135,12 @@ def _packed(rows: list[list[int]], width: int) -> list[int]:
 def _trusted_sym(n: int, rows: Iterable[int]) -> SymMatGF2:
     """SymMatGF2 from rows that are symmetric by construction, skipping the O(n^2) check."""
     M = object.__new__(SymMatGF2)
-    M.n = n
+    M.nrows = M.ncols = M.n = n
     M.rows = tuple(rows)
     return M
 
 
-Matrix = Union[MatGF2, SymMatGF2]
-
-
-def rank(M: Matrix) -> int:
+def rank(M: MatGF2) -> int:
     """Rank over GF(2): the number of rows the reduced basis of _reduce accepts."""
     return len(_reduce(M.rows)[0])
 

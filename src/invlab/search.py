@@ -452,7 +452,13 @@ class TrichotomyReport(NamedTuple):
     def holds(self) -> bool:
         """The trichotomy: inv - tmr is 0 or 1, tmr is even when it is 1, and
         for non-transitive T it is 1 exactly when no minimum-rank decycling
-        matrix has a nonzero diagonal entry."""
+        matrix has a nonzero diagonal entry.
+
+        True by construction on check_trichotomy's output: inv is its level
+        k = tmr, or k+1 only from the even pass at an even k > 0, and the
+        other two fields are set from inv and tmr.  Comparing inv with
+        solve_inv's value, and replaying both certificates, is a check that
+        does not follow from the construction."""
         return (
             self.gap in (0, 1)
             and (self.gap == 0 or self.tmr % 2 == 0)

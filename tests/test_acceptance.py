@@ -107,6 +107,8 @@ def test_criterion_4_dijoin_construction():
     for d1, d2 in itertools.product(classes, repeat=2):
         inv1, cert1 = solve_inv(d1)
         tmr2 = solve_tmr(d2).value
+        # solve_inv's family reaches inv1 + tmr2 here only because no class
+        # with n <= 3 is a gap class (inv = tmr + 1)
         fam = compose_dijoin_family(d1, cert1.payload, d2, solve_inv(d2).certificate)
         J = dijoin(d1, d2)
         assert fam.m == inv1 + tmr2

@@ -4,6 +4,7 @@ from invlab import (
     Certificate,
     SymMatGF2,
     VertexFamily,
+    check_trichotomy,
     compose_dijoin_family,
     decode,
     dijoin,
@@ -105,11 +106,30 @@ def test_compose_exhaustive_pairs_n_le_3():
         for d2 in classes:
             inv1, cert1 = solve_inv(d1)
             tmr2 = solve_tmr(d2).value
+            # solve_inv's family reaches inv1 + tmr2 here only because no
+            # class with n <= 3 is a gap class (inv = tmr + 1)
             fam = compose_dijoin_family(d1, cert1.payload, d2, solve_inv(d2).certificate)
             J = dijoin(d1, d2)
             assert fam.m == inv1 + tmr2
             assert is_decycling_family(J, fam)
             assert solve_inv(J).value <= fam.m
+
+
+def test_compose_on_a_gap_class():
+    # D2 is a gap class: inv 3, tmr 2, so only a certificate whose family
+    # merges into D1's first set reaches inv(D1) + tmr(D2)
+    d1, d2 = decode("5:0001000010"), decode("8:0000001000010001000011000110")
+    f1 = solve_inv(d1).certificate.payload
+    assert (f1.m, solve_inv(d2).value, solve_tmr(d2).value) == (2, 3, 2)
+    J = dijoin(d1, d2)
+    for cert2, m in [
+        (check_trichotomy(d2).inv_certificate, 4),
+        (solve_tmr(d2).certificate, 4),
+        (solve_inv(d2).certificate, 5),
+    ]:
+        fam = compose_dijoin_family(d1, f1, d2, cert2)
+        assert fam.m == m
+        assert is_decycling_family(J, fam)
 
 
 def test_extend_tournament_is_identity():

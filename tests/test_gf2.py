@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -247,3 +249,35 @@ def test_from_rows_refuses_ragged_rows():
         MatGF2.from_rows([[1, 0], [1]])
     with pytest.raises(ValueError, match="^row 0 has 3 entries, expected 2$"):
         MatGF2.from_rows([[1, 0, 0], [0, 1]], 2)
+
+
+def test_symmetric_matrix_is_a_checked_square_matgf2():
+    I3 = SymMatGF2.identity(3)
+    assert isinstance(I3, MatGF2)
+    assert I3 == MatGF2.identity(3) and hash(I3) == hash(MatGF2.identity(3))
+    assert repr(I3) == "SymMatGF2([[1, 0, 0], [0, 1, 0], [0, 0, 1]])"
+    H = SymMatGF2.from_rows([[0, 1, 1], [1, 1, 0], [1, 0, 0]])
+    for twin in (pickle.loads(pickle.dumps(H)), copy.deepcopy(H)):
+        assert type(twin) is SymMatGF2 and twin == H
+        assert twin.n == twin.nrows == twin.ncols == 3
+    # every matrix built without the symmetry check equals its validated twin
+    Ap = SymMatGF2.from_rows([[1, 1], [1, 0]])
+    C = MatGF2.from_rows([[1, 0, 1], [0, 1, 1]])
+    trusted = [
+        gram(MatGF2.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])),
+        H.principal([0, 2]),
+        SymMatGF2.block_diag(H, Ap),
+        schur_update(Ap, C, H),
+        inverse_full_rank(Ap),
+    ]
+    for M in trusted:
+        assert type(M) is SymMatGF2 and M.nrows == M.ncols == M.n
+        assert M == SymMatGF2(M.n, M.rows)
+    with pytest.raises(ValueError, match="not symmetric at \\(0,1\\)"):
+        SymMatGF2(2, [0b10, 0b00])
+    with pytest.raises(ValueError, match="row wider than ncols"):
+        SymMatGF2(2, [0b100, 0b00])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        SymMatGF2(2, [0b00])
+    with pytest.raises(ValueError, match="row 1 has 1 entries, expected 2"):
+        SymMatGF2.from_rows([[0, 1], [1]])
