@@ -242,9 +242,6 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=out)
         return EXIT_USAGE
-    except Inconclusive as exc:
-        print(f"inconclusive: {exc}", file=out)
-        return EXIT_INCONCLUSIVE
 
 
 def console_main() -> None:

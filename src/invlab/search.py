@@ -64,8 +64,9 @@ rule above holds in the second pass unchanged.  Only a gap instance
 witness come from it; elsewhere it is the first width-k dot-product
 success.  solve_inv runs the loop without the rank pass; check_trichotomy
 runs it with the rank pass and reads inv, tmr and both certificates off one
-run, and solve_tmr is its tmr half.  The search runs in the calling
-process; scans parallelise across instances instead.
+run, and solve_tmr is its tmr half.  Every family the loop returns is
+replayed there into the certificate returned beside it.  The search runs
+in the calling process; scans parallelise across instances instead.
 """
 
 from __future__ import annotations
@@ -380,8 +381,9 @@ def _levels(
     budget: SearchBudget,
     rank_pass: bool,
     upper: Optional[tuple[int, VertexFamily]] = None,
-) -> tuple[int, VertexFamily]:
-    """The first level k with a decycling assignment: (k, its family on D).
+) -> tuple[int, VertexFamily, Certificate]:
+    """The first level k with a decycling assignment: (k, its family on D,
+    the certificate that replays it).
 
     The slots are formed here, once per solve: D is relabelled into
     _assignment_order and every level searches that one graph.  Every level
@@ -391,36 +393,44 @@ def _levels(
     docstring), and a success there has k+1 sets.
 
     upper = (u, family) is a value the caller already holds a witness for:
-    on reaching level u the loop returns upper without searching it.  The
-    family is not checked here; the caller must replay it before use.
+    on reaching level u the loop returns upper without searching it.  Every
+    family returned, upper's included, is replayed on D before it leaves:
+    without rank_pass by family_certificate, with it by matrix_certificate
+    of its gram matrix, whose rank must be k.  Both raise ValueError on a
+    family that does not decycle D, so every value a solve or a scan reads
+    carries a replayed witness.
     """
     counter = _Nodes(budget.node_limit)
-    hard_cap = _max_useful_m(D)
     slots = _assignment_order(D)
     S = _relabel(D, slots)
-    k = 0
-    while True:
+    for k in range(_max_useful_m(D) + 1):
         if upper is not None and k == upper[0]:
-            return upper
+            family = upper[1]
+            break
         try:
-            found = _level_search(S, k, counter=counter)
-            if found is not None:
-                return k, _family(slots, k, found)
-            if rank_pass and k > 0 and k % 2 == 0:
-                found = _level_search(S, k + 1, counter=counter, even=True)
-                if found is not None:
-                    return k, _family(slots, k + 1, found)
+            width, found = k, _level_search(S, k, counter=counter)
+            if found is None and rank_pass and k > 0 and k % 2 == 0:
+                width, found = k + 1, _level_search(S, k + 1, counter=counter, even=True)
         except _NodeLimit:
             raise Inconclusive(k, f"node limit {budget.node_limit} reached at level {k}") from None
-        k += 1
-        if k > hard_cap:
-            raise AssertionError("search exceeded the arc-count bound")
+        if found is not None:
+            family = _family(slots, width, found)
+            break
+    else:
+        raise AssertionError("search exceeded the arc-count bound")
+    if not rank_pass:
+        return k, family, family_certificate(D, family)
+    # the gram matrix flips exactly the arcs the family inverts
+    cert = matrix_certificate(D, family_to_matrix(family))
+    if cert.value != k:
+        raise AssertionError(f"level {k} returned a family whose gram matrix has rank {cert.value}")
+    return k, family, cert
 
 
 def solve_inv(D: OrientedGraph, budget: Optional[SearchBudget] = None) -> InvResult:
     """Exact inversion number with a witnessing family certificate."""
-    _, family = _levels(D, budget or SearchBudget(), rank_pass=False)
-    return InvResult(family.m, family_certificate(D, family))
+    _, family, cert = _levels(D, budget or SearchBudget(), rank_pass=False)
+    return InvResult(family.m, cert)
 
 
 def solve_tmr(T: Tournament, budget: Optional[SearchBudget] = None) -> TmrResult:
@@ -470,23 +480,21 @@ def check_trichotomy(T: Tournament, budget: Optional[SearchBudget] = None) -> Tr
     """Compute inv and tmr and report every fact of the inv/tmr trichotomy."""
     if not isinstance(T, OrientedGraph) or not T.is_tournament:
         raise TypeError("tmr is defined for tournaments only")
-    k, family = _levels(T, budget or SearchBudget(), rank_pass=True)
+    k, family, tmr_cert = _levels(T, budget or SearchBudget(), rank_pass=True)
     # Level 0 flips nothing, so it succeeds exactly when T is transitive.
     # One run of the rank-pass loop answers both questions.  It tries width j
     # under the dot product at every level j <= k, the same passes solve_inv
     # makes, so every width below the returned one failed: inv = k when width
     # k succeeded, and inv = k+1 when only the even-weight pass did, whose
     # assignment has k+1 columns.  Either way the returned assignment
-    # is a minimum decycling family, and its gram matrix is a minimum-rank
-    # decycling matrix.  The gram matrix flips exactly the arcs the family
-    # inverts, so one flipped graph, and its order, serves both certificates.
+    # is a minimum decycling family, and its gram matrix, whose rank _levels
+    # checked to be k, is a minimum-rank decycling matrix.  The gram matrix
+    # flips exactly the arcs the family inverts, so one flipped graph, and
+    # its order, serves both certificates.
     # A width-k success settles that some minimum-rank decycling matrix has a
     # nonzero diagonal entry (for k > 0), since a gram matrix of full column
     # rank cannot have an all-zero diagonal; a width-k failure means every
     # minimum-rank decycling matrix is zero-diagonal.
-    tmr_cert = matrix_certificate(T, family_to_matrix(family))
-    if tmr_cert.value != k:
-        raise AssertionError("level invariant broken: found gram of wrong rank")
     return TrichotomyReport(
         inv=family.m,
         tmr=k,

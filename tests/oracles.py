@@ -205,34 +205,65 @@ def place_position(order, vecs, out_row, x):
     return first_win if first_win >= 0 else len(order)
 
 
+def _order_flip_rows(n, arcs, order):
+    """Bit rows of the zero-diagonal matrix that flips a tournament onto the
+    transitive order `order`: its (u, v) entry is 1 iff the arc between u
+    and v disagrees with that order."""
+    pos = {v: i for i, v in enumerate(order)}
+    rows = [0] * n
+    for u, v in arcs:
+        if pos[u] > pos[v]:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return rows
+
+
+def _bit_rank(rows, n):
+    """GF(2) rank of n-bit rows by plain Gauss-Jordan elimination."""
+    rows = list(rows)
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, len(rows)) if (rows[i] >> c) & 1), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(len(rows)):
+            if i != r and (rows[i] >> c) & 1:
+                rows[i] ^= rows[r]
+        r += 1
+    return r
+
+
 def min_zero_diag_decycling_rank(n, arcs):
     """Least GF(2) rank of a zero-diagonal matrix that decycles a tournament.
 
     A zero-diagonal decycling matrix is fixed by the transitive order it
-    flips the tournament onto: its (u, v) entry is 1 iff the arc between u
-    and v disagrees with that order.  This tries all n! orders and ranks each
-    matrix by plain Gauss-Jordan elimination on bit rows.
+    flips the tournament onto (_order_flip_rows), so this ranks the flip
+    matrix of each of the n! orders.
     """
-    best = n
+    return min(
+        _bit_rank(_order_flip_rows(n, arcs, order), n)
+        for order in itertools.permutations(range(n))
+    )
+
+
+def min_decycling_rank(n, arcs):
+    """(tmr, whether some decycling matrix of that rank has a nonzero diagonal).
+
+    The diagonal flips no arc, so the decycling matrices of a tournament are
+    the flip matrices of the n! orders (_order_flip_rows), each with any of
+    the 2^n diagonals; this ranks all n! * 2^n of them.
+    """
+    best, nonzero_diag = n + 1, False
     for order in itertools.permutations(range(n)):
-        pos = {v: i for i, v in enumerate(order)}
-        rows = [0] * n
-        for u, v in arcs:
-            if pos[u] > pos[v]:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        r = 0
-        for c in range(n):
-            piv = next((i for i in range(r, n) if (rows[i] >> c) & 1), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            for i in range(n):
-                if i != r and (rows[i] >> c) & 1:
-                    rows[i] ^= rows[r]
-            r += 1
-        best = min(best, r)
-    return best
+        rows = _order_flip_rows(n, arcs, order)
+        for diag in range(1 << n):
+            r = _bit_rank([row ^ (diag & 1 << v) for v, row in enumerate(rows)], n)
+            if r < best:
+                best, nonzero_diag = r, diag != 0
+            elif r == best and diag:
+                nonzero_diag = True
+    return best, nonzero_diag
 
 
 def lex_least_assignment(n, arcs, slots, k, even=False):

@@ -163,6 +163,25 @@ def test_verify_theorems_small():
     assert "violations         0" in text
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_violated_scan_check_exits_1_and_is_listed(monkeypatch, workers):
+    # no proven identity fails, so the first check is broken by hand; checks
+    # run in the calling process, after any workers have sent their rows
+    real, broken = explorer._theorem_checks, []
+
+    def checks(instance, reps, values):
+        got = real(instance, reps, values)
+        if got and not broken:
+            got[0] = dict(got[0], observed=-1)
+            broken.append(got[0])
+        return got
+
+    monkeypatch.setattr(explorer, "_theorem_checks", checks)
+    code, text = run_cli("verify-theorems", "--max-n", "3", "--json", "--workers", workers)
+    assert code == 1
+    assert len(broken) == 1 and json.loads(text)["violations"] == broken
+
+
 def test_scan_command_json():
     code, text = run_cli("scan", "tmr-additivity", "--n1", "3", "--n2", "3", "--json")
     assert code == 0

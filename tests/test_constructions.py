@@ -98,6 +98,16 @@ def test_compose_rejects_bad_inputs():
         compose_dijoin_family(C3, VertexFamily.from_sets(3, [[0, 1]]), C3, bad)
 
 
+def test_compose_refuses_a_matrix_with_a_diagonal_one_or_of_rank_0():
+    # both decycle their operand and replay, so only the matrix case's own check refuses them
+    f1 = VertexFamily.from_sets(3, [[0, 1]])
+    diagonal = matrix_certificate(C3, SymMatGF2.from_rows([[1, 1, 0], [1, 0, 0], [0, 0, 0]]))
+    zero = matrix_certificate(T3, SymMatGF2.zeros(3))
+    for D2, cert2 in ((C3, diagonal), (T3, zero)):
+        with pytest.raises(ValueError, match="nonzero zero-diagonal decycling matrix"):
+            compose_dijoin_family(C3, f1, D2, cert2)
+
+
 def test_compose_exhaustive_pairs_n_le_3():
     from invlab import enumerate_tournaments
 

@@ -209,6 +209,20 @@ def test_induced_examples():
     assert induced(dijoin(c3, c3), [3, 4, 5]) == c3
 
 
+def test_out_of_range_vertices_and_bits_are_refused():
+    # each of these would otherwise build a graph from the bits or rows it can read
+    c3 = decode("3:101")
+    for n, bits in ((3, 1 << 3), (1, 1), (4, -1)):
+        with pytest.raises(ValueError, match="orientation bits out of range"):
+            Tournament(n, bits)
+    for vertices in ([0, 3], [-1, 0]):
+        with pytest.raises(ValueError, match="not within 0..2"):
+            induced(c3, vertices)
+    for order in ([0, 0, 2], [1, 2, 3], [0, 2]):
+        with pytest.raises(ValueError, match="permutation"):
+            transitive_tournament(order)
+
+
 def test_topological_order_is_lex_least():
     d = OrientedGraph(4, [(2, 0), (3, 1)])
     assert topological_order(d) == (2, 0, 3, 1)

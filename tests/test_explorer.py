@@ -41,7 +41,7 @@ from invlab import (
     verify_dijoin_theorems,
     VertexFamily,
 )
-from invlab import cli, explorer
+from invlab import cli, explorer, search
 from invlab.explorer import _decycling_flips
 from oracles import brute_canonical
 
@@ -416,15 +416,33 @@ def test_join_task_stops_at_the_operands_bound_on_a_gap_operand(monkeypatch):
     real = explorer._levels
 
     def levels(D, budget, rank_pass, upper=None):
-        k, family = real(D, budget, rank_pass, upper)
+        k, family, cert = real(D, budget, rank_pass, upper)
         returned.append((rank_pass, upper[0], k, family is upper[1]))
-        return k, family
+        return k, family, cert
 
     monkeypatch.setattr(explorer, "_levels", levels)
     key, _ = explorer._component_key(dijoin(C3, decode(gap)))
     for rank_pass in (True, False):
         assert explorer._join_task((key, rank_pass, None))[0] == 3
     assert returned == [(True, 3, 3, True), (False, 3, 3, True)]
+
+
+def test_join_task_refuses_a_searched_family_that_does_not_decycle(monkeypatch):
+    # a level search that claims width 1 on the 6-vertex join C3 -> C3 with an
+    # all-zero assignment: its family of one empty set flips nothing, so the
+    # level loop must refuse it rather than answer 1 (inv and tmr are both 2)
+    explorer._trichotomy("3:101")  # the operand, answered by the real search
+    real = search._level_search
+
+    def claims_width_1(D, m, *, counter, even=False):
+        if D.n == 6 and m == 1:
+            return (0,) * D.n
+        return real(D, m, counter=counter, even=even)
+
+    monkeypatch.setattr(search, "_level_search", claims_width_1)
+    for rank_pass in (True, False):
+        with pytest.raises(ValueError, match="does not decycle"):
+            explorer._join_task((("3:101", "3:101"), rank_pass, None))
 
 
 INV2_N5 = ("5:0001000010", "5:0001010000", "5:0011001000")  # every n=5 class with inv 2

@@ -206,6 +206,9 @@ def test_schur_update_errors():
         schur_update(SymMatGF2.zeros(2), MatGF2.zeros(2, 1), SymMatGF2.zeros(1))
     with pytest.raises(ValueError):
         schur_update(SymMatGF2.identity(2), MatGF2.zeros(3, 1), SymMatGF2.zeros(1))
+    # C must have one column per row of B; a zero C would otherwise pass through
+    with pytest.raises(ValueError, match="C has 3 columns but B is 1x1"):
+        schur_update(SymMatGF2.identity(2), MatGF2.zeros(2, 3), SymMatGF2.zeros(1))
 
 
 def test_schur_rank_identity_random():

@@ -322,7 +322,7 @@ def test_bounded_levels_match_unbounded_solvers(graphs):
         (True, solve_tmr(J).value, sum(r.tmr for r in reports)),
     ):
         assert value <= bound
-        k, family = _levels(J, budget, rank_pass, (bound, union))
+        k, family, _ = _levels(J, budget, rank_pass, (bound, union))
         assert k == value
         if k == bound:
             assert family is union

@@ -40,6 +40,7 @@ from oracles import (
     arcs_apply_matrix,
     dfs_acyclic,
     lex_least_assignment,
+    min_decycling_rank,
     min_zero_diag_decycling_rank,
     naive_inv,
 )
@@ -126,9 +127,13 @@ def test_check_trichotomy_examples():
     r = check_trichotomy(C3)
     assert r.inv == r.tmr == 1 and r.holds
 
-    for n in range(1, 6):
-        for T in enumerate_tournaments(n):
-            assert check_trichotomy(T).holds
+    # tmr and the diagonal flag against an oracle that ranks every decycling
+    # matrix, on the 20 classes with n <= 5
+    classes = [T for n in range(1, 6) for T in enumerate_tournaments(n, up_to_iso=True)]
+    assert len(classes) == 20
+    for T in classes:
+        r = check_trichotomy(T)
+        assert (r.tmr, r.min_rank_nonzero_diag) == min_decycling_rank(T.n, T.arcs()), encode(T)
 
 
 def test_trichotomy_holds_reads_the_diagonal_condition_both_ways():
